@@ -9,10 +9,19 @@ void CacheConfig::validate() const {
               "cache line size must be a power of two, got " << line_bytes);
   SCC_REQUIRE(ways > 0 && std::has_single_bit(static_cast<unsigned>(ways)),
               "associativity must be a power of two, got " << ways);
+  SCC_REQUIRE(ways <= kMaxWays,
+              "associativity " << ways << " exceeds the " << kMaxWays
+                               << "-way limit of the tree pseudo-LRU state; use at most "
+                               << kMaxWays << " ways");
   SCC_REQUIRE(size_bytes > 0 && size_bytes % (line_bytes * static_cast<bytes_t>(ways)) == 0,
               "cache size " << size_bytes << " not divisible by ways*line");
   SCC_REQUIRE(std::has_single_bit(static_cast<bytes_t>(sets())),
               "number of sets must be a power of two, got " << sets());
+  // With one set and 1-byte lines the tag is the whole address, so address
+  // ~0 would collide with the empty-way marker.
+  SCC_REQUIRE(sets() > 1 || line_bytes > 1,
+              "a single-set cache with 1-byte lines cannot be modeled (its tags span the "
+              "whole address); use lines of at least 2 bytes or at least 2 sets");
 }
 
 CacheStats& CacheStats::operator+=(const CacheStats& other) {
@@ -30,12 +39,25 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   sets_ = config_.sets();
   line_shift_ = std::countr_zero(config_.line_bytes);
   tag_shift_ = std::countr_zero(static_cast<std::uint64_t>(sets_));
-  plru_levels_ = std::countr_zero(static_cast<unsigned>(config_.ways));
   set_mask_ = static_cast<std::uint64_t>(sets_) - 1;
   const std::size_t slots = static_cast<std::size_t>(sets_) * static_cast<std::size_t>(config_.ways);
   tags_.assign(slots, kEmpty);
   dirty_.assign(slots, 0);
   plru_.assign(static_cast<std::size_t>(sets_), 0);
+  mru_.assign(static_cast<std::size_t>(sets_), 0);
+  // Touching a way flips every node on its root-to-leaf path to point away
+  // from it: a left branch sets the node bit (victim pointer goes right), a
+  // right branch clears it.
+  const int levels = std::countr_zero(static_cast<unsigned>(config_.ways));
+  for (int way = 0; way < config_.ways; ++way) {
+    PathMask& path = plru_path_[static_cast<std::size_t>(way)];
+    int node = 0;
+    for (int level = levels - 1; level >= 0; --level) {
+      const int branch = (way >> level) & 1;
+      (branch == 0 ? path.set : path.clear) |= 1U << node;
+      node = 2 * node + 1 + branch;
+    }
+  }
 }
 
 void Cache::flush() {
@@ -46,19 +68,15 @@ void Cache::flush() {
     tags_[slot] = kEmpty;
     dirty_[slot] = 0;
   }
+  // mru_ may keep naming a now-empty way: no tag equals kEmpty, so the hint
+  // cannot match until a fill touches the set again.
   std::fill(plru_.begin(), plru_.end(), 0U);
 }
 
 bool Cache::contains(std::uint64_t address) const {
   const std::uint64_t line = address >> line_shift_;
-  const int set = static_cast<int>(line & set_mask_);
-  const std::uint64_t tag = line >> tag_shift_;
-  const std::size_t base =
-      static_cast<std::size_t>(set) * static_cast<std::size_t>(config_.ways);
-  for (int w = 0; w < config_.ways; ++w) {
-    if (tags_[base + static_cast<std::size_t>(w)] == tag) return true;
-  }
-  return false;
+  const auto set = static_cast<std::size_t>(line & set_mask_);
+  return match_mask(set * static_cast<std::size_t>(config_.ways), line >> tag_shift_) != 0;
 }
 
 }  // namespace scc::cache

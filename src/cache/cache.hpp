@@ -8,6 +8,8 @@
 // which is all the timing model needs.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -17,6 +19,9 @@
 namespace scc::cache {
 
 struct CacheConfig {
+  /// The tree pseudo-LRU state packs ways-1 node bits per set into 32 bits.
+  static constexpr int kMaxWays = 32;
+
   bytes_t size_bytes = 256 * 1024;
   bytes_t line_bytes = 32;
   int ways = 4;
@@ -25,7 +30,9 @@ struct CacheConfig {
     return static_cast<int>(size_bytes / (line_bytes * static_cast<bytes_t>(ways)));
   }
 
-  /// Throws unless sizes are positive powers of two and consistent.
+  /// Throws unless sizes are positive powers of two and consistent, and the
+  /// geometry is one the model can represent (at most kMaxWays ways; a line
+  /// tag that never equals the empty-way marker).
   void validate() const;
 };
 
@@ -80,24 +87,35 @@ class Cache {
   bool contains(std::uint64_t address) const;
 
  private:
-  int victim_way(int set) const;
-  void touch(int set, int way);
+  int victim_way(std::size_t set) const;
+  void touch(std::size_t set, int way);
+  /// Bit w set iff way w of the set starting at slot `base` holds `tag`.
+  std::uint32_t match_mask(std::size_t base, std::uint64_t tag) const;
+  /// Miss path: fill `tag` into `set`, evicting the pseudo-LRU way if full.
+  AccessResult fill(std::size_t set, std::uint64_t tag, bool is_write);
 
   CacheConfig config_;
   int sets_;
   int line_shift_;
-  // Hoisted per-access invariants: recomputing these (countr_zero over the
-  // set count / associativity) on every reference costs measurably in the
-  // trace-replay hot loop.
-  int tag_shift_;    ///< countr_zero(sets_): line -> tag
-  int plru_levels_;  ///< countr_zero(ways): depth of the PLRU tree
+  // Hoisted per-access invariants: recomputing countr_zero over the set
+  // count on every reference costs measurably in the trace-replay hot loop.
+  int tag_shift_;  ///< countr_zero(sets_): line -> tag
   std::uint64_t set_mask_;
   // tag per (set, way); kEmpty means invalid. Dirty bits packed separately.
   static constexpr std::uint64_t kEmpty = ~0ULL;
   std::vector<std::uint64_t> tags_;
   std::vector<std::uint8_t> dirty_;
-  // Tree pseudo-LRU state: (ways-1) bits per set, packed in a byte/word.
+  // Tree pseudo-LRU state: (ways-1) bits per set, packed in a word.
   std::vector<std::uint32_t> plru_;
+  // Most recently touched way of each set, written by touch().
+  std::vector<std::uint8_t> mru_;
+  // The node bits on a way's root-to-leaf path, split by the value touch()
+  // gives them (pointing away from the way); indexed by way.
+  struct PathMask {
+    std::uint32_t clear = 0;
+    std::uint32_t set = 0;
+  };
+  std::array<PathMask, CacheConfig::kMaxWays> plru_path_{};
   CacheStats stats_;
 };
 
@@ -105,10 +123,10 @@ class Cache {
 // Hot path, kept in the header so the whole Tracker::access chain
 // (TLB -> L1 -> L2) inlines into the trace loops.
 
-inline int Cache::victim_way(int set) const {
+inline int Cache::victim_way(std::size_t set) const {
   // Walk the pseudo-LRU tree: each internal node bit points toward the side
   // that was least recently used. Nodes are heap-indexed; leaves map to ways.
-  const std::uint32_t bits = plru_[static_cast<std::size_t>(set)];
+  const std::uint32_t bits = plru_[set];
   const int ways = config_.ways;
   int node = 0;
   while (node < ways - 1) {
@@ -118,73 +136,74 @@ inline int Cache::victim_way(int set) const {
   return node - (ways - 1);
 }
 
-inline void Cache::touch(int set, int way) {
-  // Flip every node on the root-to-leaf path to point away from `way`.
-  std::uint32_t& bits = plru_[static_cast<std::size_t>(set)];
-  int node = 0;
-  for (int level = plru_levels_ - 1; level >= 0; --level) {
-    const int branch = (way >> level) & 1;
-    if (branch == 0) {
-      bits |= (1U << node);  // accessed left -> victim pointer goes right
-    } else {
-      bits &= ~(1U << node);
-    }
-    node = 2 * node + 1 + branch;
+inline void Cache::touch(std::size_t set, int way) {
+  const PathMask& path = plru_path_[static_cast<std::size_t>(way)];
+  plru_[set] = (plru_[set] & ~path.clear) | path.set;
+  mru_[set] = static_cast<std::uint8_t>(way);
+}
+
+inline std::uint32_t Cache::match_mask(std::size_t base, std::uint64_t tag) const {
+  std::uint32_t mask = 0;
+  for (int w = 0; w < config_.ways; ++w) {
+    mask |= static_cast<std::uint32_t>(tags_[base + static_cast<std::size_t>(w)] == tag) << w;
   }
+  return mask;
 }
 
 inline AccessResult Cache::access(std::uint64_t address, bool is_write) {
   const std::uint64_t line = address >> line_shift_;
-  const int set = static_cast<int>(line & set_mask_);
+  const auto set = static_cast<std::size_t>(line & set_mask_);
   const std::uint64_t tag = line >> tag_shift_;
-  const std::size_t base =
-      static_cast<std::size_t>(set) * static_cast<std::size_t>(config_.ways);
+  const std::size_t base = set * static_cast<std::size_t>(config_.ways);
 
-  for (int w = 0; w < config_.ways; ++w) {
-    if (tags_[base + static_cast<std::size_t>(w)] == tag) {
-      touch(set, w);
-      if (is_write) {
-        dirty_[base + static_cast<std::size_t>(w)] = 1;
-        ++stats_.write_hits;
-      } else {
-        ++stats_.read_hits;
-      }
-      return AccessResult{.hit = true, .evicted_dirty = false};
-    }
+  // A hit on the set's MRU way needs no pLRU update: touch() already pointed
+  // every node on its path away from it, and doing so again changes nothing.
+  std::size_t slot = base + mru_[set];
+  if (tags_[slot] != tag) {
+    const std::uint32_t hits = match_mask(base, tag);
+    if (hits == 0) return fill(set, tag, is_write);
+    const int way = std::countr_zero(hits);
+    touch(set, way);
+    slot = base + static_cast<std::size_t>(way);
   }
+  if (is_write) {
+    dirty_[slot] = 1;
+    ++stats_.write_hits;
+  } else {
+    ++stats_.read_hits;
+  }
+  return AccessResult{.hit = true, .evicted_dirty = false};
+}
 
-  // Miss: prefer an invalid way, else evict the pseudo-LRU victim.
-  int way = -1;
-  for (int w = 0; w < config_.ways; ++w) {
-    if (tags_[base + static_cast<std::size_t>(w)] == kEmpty) {
-      way = w;
-      break;
-    }
-  }
-  bool evicted_dirty = false;
-  std::uint64_t victim_address = 0;
-  if (way < 0) {
+inline AccessResult Cache::fill(std::size_t set, std::uint64_t tag, bool is_write) {
+  // Miss: prefer the first invalid way, else evict the pseudo-LRU victim.
+  const std::size_t base = set * static_cast<std::size_t>(config_.ways);
+  const std::uint32_t empty = match_mask(base, kEmpty);
+  AccessResult result;
+  int way = 0;
+  if (empty != 0) {
+    way = std::countr_zero(empty);
+  } else {
     way = victim_way(set);
     ++stats_.evictions;
-    if (dirty_[base + static_cast<std::size_t>(way)] != 0) {
-      evicted_dirty = true;
+    const std::size_t victim = base + static_cast<std::size_t>(way);
+    if (dirty_[victim] != 0) {
+      result.evicted_dirty = true;
       ++stats_.dirty_writebacks;
-      const std::uint64_t victim_tag = tags_[base + static_cast<std::size_t>(way)];
-      const std::uint64_t victim_line =
-          (victim_tag << tag_shift_) | static_cast<std::uint64_t>(set);
-      victim_address = victim_line << line_shift_;
+      const std::uint64_t victim_line = (tags_[victim] << tag_shift_) | set;
+      result.victim_address = victim_line << line_shift_;
     }
   }
-  tags_[base + static_cast<std::size_t>(way)] = tag;
-  dirty_[base + static_cast<std::size_t>(way)] = is_write ? 1 : 0;
+  const std::size_t slot = base + static_cast<std::size_t>(way);
+  tags_[slot] = tag;
+  dirty_[slot] = is_write ? 1 : 0;
   touch(set, way);
   if (is_write) {
     ++stats_.write_misses;
   } else {
     ++stats_.read_misses;
   }
-  return AccessResult{
-      .hit = false, .evicted_dirty = evicted_dirty, .victim_address = victim_address};
+  return result;
 }
 
 }  // namespace scc::cache

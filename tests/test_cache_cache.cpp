@@ -2,12 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace scc::cache {
 namespace {
 
 CacheConfig tiny() {
   // 4 sets x 4 ways x 32B lines = 512 B: easy to reason about evictions.
   return CacheConfig{.size_bytes = 512, .line_bytes = 32, .ways = 4};
+}
+
+/// The message `config.validate()` throws, or "" if it accepts the config.
+std::string rejection(const CacheConfig& config) {
+  try {
+    config.validate();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
 }
 
 TEST(CacheConfig, SccDefaultsValidate) {
@@ -26,6 +38,28 @@ TEST(CacheConfig, RejectsNonPowerOfTwo) {
                std::invalid_argument);
   EXPECT_THROW((CacheConfig{.size_bytes = 512, .line_bytes = 32, .ways = 3}).validate(),
                std::invalid_argument);
+}
+
+TEST(CacheConfig, RejectsMoreWaysThanThePseudoLruStateHolds) {
+  // 64 ways would need 63 tree bits; the per-set state is 32 bits wide.
+  const std::string message =
+      rejection(CacheConfig{.size_bytes = 64 * 32, .line_bytes = 32, .ways = 64});
+  EXPECT_NE(message.find("32-way limit"), std::string::npos) << message;
+  EXPECT_EQ(rejection(CacheConfig{.size_bytes = 32 * 32, .line_bytes = 32, .ways = 32}), "");
+}
+
+TEST(CacheConfig, RejectsSingleSetWithByteLines) {
+  // One set of 1-byte lines: the tag is the whole address, so address ~0
+  // would read as the empty-way marker and hit cold.
+  const std::string message =
+      rejection(CacheConfig{.size_bytes = 4, .line_bytes = 1, .ways = 4});
+  EXPECT_NE(message.find("single-set"), std::string::npos) << message;
+  // Either a second set or 2-byte lines makes the geometry representable.
+  EXPECT_EQ(rejection(CacheConfig{.size_bytes = 8, .line_bytes = 1, .ways = 4}), "");
+  Cache c(CacheConfig{.size_bytes = 8, .line_bytes = 2, .ways = 4});
+  EXPECT_FALSE(c.contains(~0ULL));
+  EXPECT_FALSE(c.access(~0ULL, false).hit);
+  EXPECT_TRUE(c.access(~0ULL, false).hit);
 }
 
 TEST(Cache, ColdMissThenHit) {
@@ -170,6 +204,47 @@ TEST(Cache, WorkingSetSmallerThanCacheHitsOnSecondPass) {
   EXPECT_EQ(c.stats().misses(), 64u);
 }
 
+TEST(CacheMruHit, RepeatedHitsLeaveVictimUnchanged) {
+  // Fill set 0's four ways, make line 2 the MRU, then re-hit it: once in
+  // one cache, a hundred times in the other. The next miss in the set must
+  // evict the same line (way 0, the pseudo-LRU victim) in both.
+  Cache once(tiny());
+  Cache many(tiny());
+  for (Cache* c : {&once, &many}) {
+    for (std::uint64_t i = 0; i < 4; ++i) c->access(i * 128, false);
+  }
+  once.access(2 * 128, false);
+  for (int n = 0; n < 100; ++n) EXPECT_TRUE(many.access(2 * 128, false).hit);
+  once.access(4 * 128, false);
+  many.access(4 * 128, false);
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(once.contains(i * 128), many.contains(i * 128)) << "line " << i;
+  }
+  EXPECT_FALSE(many.contains(0));
+  EXPECT_EQ(many.stats().read_hits, 100u);
+}
+
+TEST(CacheMruHit, FlushedMruLineMisses) {
+  Cache c(tiny());
+  c.access(0x100, false);
+  EXPECT_TRUE(c.access(0x100, false).hit);  // an MRU hit
+  c.flush();
+  EXPECT_FALSE(c.contains(0x100));
+  EXPECT_FALSE(c.access(0x100, false).hit);
+}
+
+TEST(CacheMruHit, WriteHitOnMruWayMarksItDirty) {
+  Cache c(tiny());
+  c.access(0, false);                  // clean fill; line 0 is its set's MRU
+  EXPECT_TRUE(c.access(8, true).hit);  // write hit on the MRU way
+  for (std::uint64_t i = 1; i < 4; ++i) c.access(i * 128, false);
+  const AccessResult r = c.access(4 * 128, false);  // evicts line 0
+  EXPECT_TRUE(r.evicted_dirty);
+  EXPECT_EQ(r.victim_address, 0u);
+  EXPECT_EQ(c.stats().write_hits, 1u);
+  EXPECT_EQ(c.stats().dirty_writebacks, 1u);
+}
+
 TEST(CacheStats, Accumulation) {
   CacheStats a{.read_hits = 1, .read_misses = 2, .write_hits = 3, .write_misses = 4,
                .evictions = 5, .dirty_writebacks = 6};
@@ -195,7 +270,7 @@ TEST_P(CacheWaysSweep, FullOccupancyNoEvictions) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Ways, CacheWaysSweep, ::testing::Values(1, 2, 4, 8));
+INSTANTIATE_TEST_SUITE_P(Ways, CacheWaysSweep, ::testing::Values(1, 2, 4, 8, 16, 32));
 
 }  // namespace
 }  // namespace scc::cache

@@ -55,6 +55,16 @@ TEST(Tlb, ConfigValidated) {
   EXPECT_THROW(Tlb{bad}, std::invalid_argument);
 }
 
+TEST(Tlb, RejectsGeometriesTheCacheModelCannotRepresent) {
+  // The TLB is a cache over pages, so it inherits CacheConfig's checks.
+  TlbConfig bad{.entries = 64, .ways = 64};  // over the 32-way pseudo-LRU limit
+  EXPECT_THROW(Tlb{bad}, std::invalid_argument);
+  bad = TlbConfig{.entries = 4, .ways = 4, .page_bytes = 1};  // one set of 1-byte pages
+  EXPECT_THROW(Tlb{bad}, std::invalid_argument);
+  EXPECT_NO_THROW(Tlb(TlbConfig{.entries = 32, .ways = 32}));
+  EXPECT_NO_THROW(Tlb(TlbConfig{.entries = 4, .ways = 4, .page_bytes = 2}));
+}
+
 TEST(Tlb, SetConflictsEvict) {
   // 4-way over 16 sets: five pages mapping to the same set evict one.
   Tlb tlb;
