@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 #include "obs/trace.hpp"
 #include "scc/mapping.hpp"
 #include "serve/contention.hpp"
@@ -25,17 +24,6 @@ namespace {
 /// tracker's own epsilon): a tile kill landing exactly on a completion must
 /// not restate a finished job.
 constexpr double kEpsilonSeconds = 1e-12;
-
-serve::LatencySummary summarize_latencies(std::vector<double>& latencies) {
-  serve::LatencySummary summary;
-  summary.count = latencies.size();
-  if (latencies.empty()) return summary;
-  summary.mean = mean(latencies);
-  summary.p50 = percentile(latencies, 50.0);
-  summary.p95 = percentile(latencies, 95.0);
-  summary.p99 = percentile(latencies, 99.0);
-  return summary;
-}
 
 enum class TimerKind {
   kCrash,
@@ -1181,9 +1169,9 @@ ClusterResult ClusterSimulator::run(const std::vector<serve::Request>& requests,
     (record.request.cls == serve::RequestClass::kInteractive ? interactive : batch)
         .push_back(record.latency_seconds());
   }
-  result.latency_total = summarize_latencies(total);
-  result.latency_interactive = summarize_latencies(interactive);
-  result.latency_batch = summarize_latencies(batch);
+  result.latency_total = serve::summarize_latencies(total);
+  result.latency_interactive = serve::summarize_latencies(interactive);
+  result.latency_batch = serve::summarize_latencies(batch);
 
   metrics_->gauge("cluster.availability").set(result.availability);
   metrics_->gauge("cluster.throughput_rps").set(result.throughput_rps);

@@ -1,9 +1,12 @@
 // Streaming FNV-1a (64-bit) -- the content-hashing primitive behind the
-// engine's run memoization: sparse::CsrMatrix::fingerprint() hashes the
-// matrix structure with it and sim::run_key() hashes the effective RunSpec +
-// EngineConfig. Deliberately simple and byte-order-stable within one
-// process; it is a cache key, not a cryptographic digest, and keys never
-// leave the process.
+// engine's run memoization: sparse::CsrMatrix::fingerprint() and
+// value_digest() hash the matrix structure and values with it, and
+// sim::run_key() hashes the effective RunSpec + EngineConfig. Deliberately
+// simple; it is a cache key, not a cryptographic digest. Keys do leave the
+// process: RunCache and TuningCache snapshots store them on disk, so any
+// change to what a key hashes (or how) turns every persisted entry into a
+// miss. Multi-byte values are hashed in host byte order, so those snapshots
+// are only portable between hosts of the same endianness.
 #pragma once
 
 #include <cstdint>

@@ -44,10 +44,14 @@ double max_value(std::span<const double> values) {
 }
 
 double percentile(std::span<const double> values, double q) {
-  SCC_REQUIRE(!values.empty(), "percentile of empty range");
-  SCC_REQUIRE(q >= 0.0 && q <= 100.0, "percentile q must be in [0,100], got " << q);
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
+  return percentile_sorted(sorted, q);
+}
+
+double percentile_sorted(std::span<const double> sorted, double q) {
+  SCC_REQUIRE(!sorted.empty(), "percentile of empty range");
+  SCC_REQUIRE(q >= 0.0 && q <= 100.0, "percentile q must be in [0,100], got " << q);
   if (sorted.size() == 1) return sorted.front();
   const double rank = q / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);

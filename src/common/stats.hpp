@@ -25,6 +25,10 @@ double max_value(std::span<const double> values);
 /// Linear-interpolation percentile, q in [0, 100].
 double percentile(std::span<const double> values, double q);
 
+/// `percentile` of an input already sorted ascending, without the copy and
+/// sort: sort once, then read several quantiles.
+double percentile_sorted(std::span<const double> sorted, double q);
+
 /// Fraction of values strictly greater than `threshold` (used for claims like
 /// "speedup > 1.10 in more than 50% of the matrices").
 double fraction_above(std::span<const double> values, double threshold);

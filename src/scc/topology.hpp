@@ -21,6 +21,7 @@ inline constexpr int kTileCount = kMeshWidth * kMeshHeight;  // 24
 inline constexpr int kCoresPerTile = 2;
 inline constexpr int kCoreCount = kTileCount * kCoresPerTile;  // 48
 inline constexpr int kMemoryControllerCount = 4;
+inline constexpr int kCoresPerMemoryController = kCoreCount / kMemoryControllerCount;  // 12
 
 /// Tiles whose routers carry a memory controller, indexed by MC id.
 inline constexpr std::array<noc::Coord, kMemoryControllerCount> kMcCoords = {
@@ -46,6 +47,6 @@ int memory_controller_of_core(int core);
 int hops_to_memory(int core);
 
 /// All cores assigned to one memory controller, ascending core id.
-std::array<int, kCoreCount / kMemoryControllerCount> cores_of_memory_controller(int mc);
+std::array<int, kCoresPerMemoryController> cores_of_memory_controller(int mc);
 
 }  // namespace scc::chip

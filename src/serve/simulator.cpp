@@ -14,20 +14,17 @@
 
 namespace scc::serve {
 
-namespace {
-
 LatencySummary summarize_latencies(std::vector<double>& latencies) {
   LatencySummary summary;
   summary.count = latencies.size();
   if (latencies.empty()) return summary;
-  summary.mean = mean(latencies);
-  summary.p50 = percentile(latencies, 50.0);
-  summary.p95 = percentile(latencies, 95.0);
-  summary.p99 = percentile(latencies, 99.0);
+  summary.mean = mean(latencies);  // before sorting: keeps the summation order
+  std::sort(latencies.begin(), latencies.end());
+  summary.p50 = percentile_sorted(latencies, 50.0);
+  summary.p95 = percentile_sorted(latencies, 95.0);
+  summary.p99 = percentile_sorted(latencies, 99.0);
   return summary;
 }
-
-}  // namespace
 
 Simulator::Simulator(ServeConfig config, MatrixPool& pool)
     : config_(config), pool_(pool), model_(config.engine, pool, config.verify) {

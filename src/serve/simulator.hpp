@@ -86,6 +86,10 @@ struct LatencySummary {
   double p99 = 0.0;
 };
 
+/// Count, mean and p50/p95/p99 of `latencies` (all zero when empty). Sorts
+/// `latencies` in place, once, after taking the mean in arrival order.
+LatencySummary summarize_latencies(std::vector<double>& latencies);
+
 /// Per-run autotuning accounting (counter deltas over this run only, plus
 /// the decisions the run itself triggered -- cache hits from earlier runs
 /// against the same pool count as hits, not decisions).

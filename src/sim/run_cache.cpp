@@ -37,10 +37,10 @@ RunKey run_key(const sparse::CsrMatrix& matrix, const EngineConfig& config,
   hash.u64(spec.sdc_site);
   if (spec.verify != integrity::VerifyMode::kOff || !spec.sdc.empty()) {
     // Residual/tolerance/outcome depend on the numeric values, which the
-    // structural fingerprint deliberately excludes; fold them in only when
-    // verification is live so timing-only runs keep their value-agnostic
-    // sharing.
-    hash.array(std::span<const real_t>(matrix.val()));
+    // structural fingerprint deliberately excludes; fold them in (as the
+    // matrix's cached value digest) only when verification is live so
+    // timing-only runs keep their value-agnostic sharing.
+    hash.u64(matrix.value_digest());
   }
 
   // Timing-relevant engine configuration, so one cache may serve engines

@@ -12,9 +12,13 @@
 //   * a canonical hash of the *effective* spec: the resolved core table
 //     (so `ue_count`+policy and the equivalent explicit core list share an
 //     entry), format, variant, forced hops, dead ranks, detection window,
-//     plus the full timing-relevant EngineConfig (frequency domains, cache
-//     geometry, kernel/memory cost models, steady-state switches) so one
-//     cache can safely serve engines with different configurations.
+//     verify/SDC knobs (plus the matrix's value digest when verification is
+//     live), plus the full timing-relevant EngineConfig (frequency domains,
+//     cache geometry, kernel/memory cost models, steady-state switches) so
+//     one cache can safely serve engines with different configurations.
+//
+// Both matrix digests are computed once per matrix and cached on it, so a
+// key costs a hash of the spec and config only (MODEL.md section 7).
 //
 // Concurrency (MODEL.md section 7): the cache is split into a power-of-two
 // number of shards selected by the key hash. Each shard is a fixed slot

@@ -167,12 +167,22 @@ void CsrMatrix::validate() const {
 }
 
 std::uint64_t CsrMatrix::fingerprint() const {
-  common::Fnv1a hash;
-  hash.i64(rows_);
-  hash.i64(cols_);
-  hash.array(std::span<const nnz_t>(ptr_));
-  hash.array(std::span<const index_t>(col_));
-  return hash.value();
+  return fingerprint_.get([this] {
+    common::Fnv1a hash;
+    hash.i64(rows_);
+    hash.i64(cols_);
+    hash.array(std::span<const nnz_t>(ptr_));
+    hash.array(std::span<const index_t>(col_));
+    return hash.value();
+  });
+}
+
+std::uint64_t CsrMatrix::value_digest() const {
+  return value_digest_.get([this] {
+    common::Fnv1a hash;
+    hash.array(std::span<const real_t>(val_));
+    return hash.value();
+  });
 }
 
 const std::vector<real_t>& CsrMatrix::checksum_row() const {

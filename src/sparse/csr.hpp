@@ -3,6 +3,8 @@
 // nonzero) and `val` (value per nonzero), with nonzeros stored row-major.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -32,8 +34,12 @@ class CsrMatrix {
   std::span<const nnz_t> ptr() const { return ptr_; }
   std::span<const index_t> col() const { return col_; }
   std::span<const real_t> val() const { return val_; }
+  /// Writable values. Invalidates the value-dependent caches
+  /// (`value_digest`, `checksum_row`), so write through the span before the
+  /// next read of either.
   std::span<real_t> val_mutable() {
     checksum_valid_ = false;  // values may change under the caller's pen
+    value_digest_.reset();
     return val_;
   }
 
@@ -67,7 +73,14 @@ class CsrMatrix {
   /// structure (addresses derive from ptr/col), so two matrices with equal
   /// structure simulate identically whatever their values -- this is the
   /// matrix half of the engine's run-memoization key (sim::RunCache).
+  /// Computed on first use and cached; the structure never changes after
+  /// construction.
   std::uint64_t fingerprint() const;
+
+  /// FNV-1a over the values (`Fnv1a::array(val())`), cached like the
+  /// fingerprint until `val_mutable()`. sim::run_key folds it in when a run
+  /// verifies its product, since the verdict depends on the values.
+  std::uint64_t value_digest() const;
 
   /// ABFT checksum row s = c^T A with the pseudorandom check vector
   /// c_i = 1 + hash(i)/2^53 in [1, 2): s_j = sum_i c_i * a_ij. Computed
@@ -97,13 +110,53 @@ class CsrMatrix {
   }
 
  private:
+  /// A lazily computed digest that concurrent const callers may share: the
+  /// word 0 means "not computed yet" (a digest that really is 0 is simply
+  /// recomputed each time), and racing first calls store the same value. A
+  /// copy carries the word along with the arrays it describes; a move hands
+  /// it over and clears the source, whose arrays the move emptied.
+  class DigestMemo {
+   public:
+    DigestMemo() = default;
+    DigestMemo(const DigestMemo& other) noexcept : word_(other.load()) {}
+    DigestMemo(DigestMemo&& other) noexcept : word_(other.take()) {}
+    DigestMemo& operator=(const DigestMemo& other) noexcept {
+      word_.store(other.load(), std::memory_order_relaxed);
+      return *this;
+    }
+    DigestMemo& operator=(DigestMemo&& other) noexcept {
+      word_.store(other.take(), std::memory_order_relaxed);
+      return *this;
+    }
+
+    template <typename Compute>
+    std::uint64_t get(Compute compute) const {
+      std::uint64_t value = load();
+      if (value == 0) {
+        value = compute();
+        word_.store(value, std::memory_order_relaxed);
+      }
+      return value;
+    }
+    void reset() noexcept { word_.store(0, std::memory_order_relaxed); }
+
+   private:
+    std::uint64_t load() const noexcept { return word_.load(std::memory_order_relaxed); }
+    std::uint64_t take() noexcept { return word_.exchange(0, std::memory_order_relaxed); }
+
+    mutable std::atomic<std::uint64_t> word_{0};
+  };
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<nnz_t> ptr_;
   std::vector<index_t> col_;
   std::vector<real_t> val_;
+  // Caches derived from the arrays above; excluded from equality.
+  DigestMemo fingerprint_;
+  DigestMemo value_digest_;
   // ABFT checksum-row cache (value-dependent, unlike the structural
-  // fingerprint); excluded from equality.
+  // fingerprint).
   mutable std::vector<real_t> checksum_;
   mutable bool checksum_valid_ = false;
 };

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace scc {
 namespace {
@@ -86,6 +91,26 @@ TEST(Stats, PercentileRejectsOutOfRangeQ) {
   const std::vector<double> v{1.0};
   EXPECT_THROW(percentile(v, -1.0), std::invalid_argument);
   EXPECT_THROW(percentile(v, 101.0), std::invalid_argument);
+}
+
+TEST(Stats, PercentileSortedIsBitIdenticalToPercentile) {
+  Rng rng(0x5ca1e);
+  for (const std::size_t n : {1u, 2u, 3u, 17u, 1000u, 20001u}) {
+    std::vector<double> values(n);
+    for (double& v : values) v = rng.uniform_real(-1e3, 1e6) * rng.uniform01();
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 1.0, 25.0, 50.0, 95.0, 99.0, 99.9, 100.0,
+                           rng.uniform_real(0.0, 100.0)}) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile_sorted(sorted, q)),
+                std::bit_cast<std::uint64_t>(percentile(values, q)))
+          << "n=" << n << " q=" << q;
+    }
+  }
+  const std::vector<double> empty;
+  EXPECT_THROW(percentile_sorted(empty, 50.0), std::invalid_argument);
+  const std::vector<double> one{1.0};
+  EXPECT_THROW(percentile_sorted(one, 100.5), std::invalid_argument);
 }
 
 TEST(Stats, FractionAboveCountsStrictly) {

@@ -4,6 +4,8 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 namespace scc::chip {
 namespace {
@@ -100,6 +102,40 @@ TEST(Topology, HopHistogramMatchesQuadrantGeometry) {
   EXPECT_EQ(histogram[1], 16);
   EXPECT_EQ(histogram[2], 16);
   EXPECT_EQ(histogram[3], 8);
+}
+
+TEST(Topology, TablesMatchGeometricDefinitions) {
+  // Differential check of the precomputed per-core tables against the
+  // definitions they encode: the quadrant rule, XY-routing hop counts on the
+  // mesh, and each MC's cores as the ascending filter of the quadrant rule.
+  const noc::Mesh mesh(kMeshWidth, kMeshHeight);
+  for (int core = 0; core < kCoreCount; ++core) {
+    const noc::Coord c = coord_of_core(core);
+    const int mc_col = c.x < kMeshWidth / 2 ? 0 : 1;
+    const int mc_row = c.y < kMeshHeight / 2 ? 0 : 1;
+    const int mc = mc_row * 2 + mc_col;
+    EXPECT_EQ(memory_controller_of_core(core), mc) << "core " << core;
+    EXPECT_EQ(hops_to_memory(core), mesh.hops(c, kMcCoords[static_cast<std::size_t>(mc)]))
+        << "core " << core;
+  }
+  for (int mc = 0; mc < kMemoryControllerCount; ++mc) {
+    std::vector<int> expected;
+    for (int core = 0; core < kCoreCount; ++core) {
+      if (memory_controller_of_core(core) == mc) expected.push_back(core);
+    }
+    const auto table = cores_of_memory_controller(mc);
+    EXPECT_EQ(std::vector<int>(table.begin(), table.end()), expected) << "mc " << mc;
+  }
+}
+
+TEST(Topology, TableLookupsRejectOutOfRangeIds) {
+  for (int core : {-1, kCoreCount}) {
+    EXPECT_THROW(memory_controller_of_core(core), std::invalid_argument) << core;
+    EXPECT_THROW(hops_to_memory(core), std::invalid_argument) << core;
+  }
+  for (int mc : {-1, kMemoryControllerCount}) {
+    EXPECT_THROW(cores_of_memory_controller(mc), std::invalid_argument) << mc;
+  }
 }
 
 TEST(Topology, McCoordsAreOnChipEdges) {

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -12,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "integrity/integrity.hpp"
 #include "obs/report.hpp"
 #include "scc/mapping.hpp"
@@ -426,6 +430,30 @@ TEST(ServeSimulator, AccountsEveryRequestExactlyOnce) {
     }
   }
   EXPECT_LE(result.max_queue_depth, 8);
+}
+
+TEST(ServeLatencySummary, MatchesArrivalOrderMeanAndPercentiles) {
+  // The summary sorts its input once; it must equal the plain definition:
+  // the mean in arrival order and `percentile` of the unsorted latencies.
+  // A long first latency makes the rounding of the sum depend on its order.
+  Rng rng(0x1a7e);
+  std::vector<double> latencies(4099);
+  for (double& v : latencies) v = rng.uniform_real(1e-9, 1e-3);
+  latencies.front() = 1e3;
+  const std::vector<double> arrival = latencies;
+  const LatencySummary summary = summarize_latencies(latencies);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  EXPECT_EQ(summary.count, arrival.size());
+  EXPECT_EQ(bits(summary.mean), bits(mean(arrival)));
+  EXPECT_EQ(bits(summary.p50), bits(percentile(arrival, 50.0)));
+  EXPECT_EQ(bits(summary.p95), bits(percentile(arrival, 95.0)));
+  EXPECT_EQ(bits(summary.p99), bits(percentile(arrival, 99.0)));
+
+  std::vector<double> none;
+  const LatencySummary empty = summarize_latencies(none);
+  EXPECT_EQ(empty.count, 0u);
+  EXPECT_EQ(empty.mean, 0.0);
+  EXPECT_EQ(empty.p99, 0.0);
 }
 
 TEST(ServeSimulator, BatchingMergesSameMatrixBacklog) {

@@ -191,6 +191,31 @@ TEST(RunKey, EngineConfigAndMatrixArePartOfTheKey) {
   EXPECT_EQ(run_key(m, config, cores, observed), key);
 }
 
+TEST(RunKey, ValuesCountOnlyWhenVerificationIsLive) {
+  const auto m = test_matrix();
+  sparse::CsrMatrix scaled = m;
+  for (real_t& v : scaled.val_mutable()) v *= 2.0;  // same structure, other values
+  const EngineConfig config;
+  const std::vector<int> cores = {0, 1, 2, 3};
+
+  const RunSpec timing_only;
+  EXPECT_EQ(run_key(m, config, cores, timing_only), run_key(scaled, config, cores, timing_only));
+
+  RunSpec detect;
+  detect.verify = integrity::VerifyMode::kDetect;
+  EXPECT_NE(run_key(m, config, cores, detect), run_key(scaled, config, cores, detect));
+}
+
+TEST(RunKey, VerifyOffKeyIsPinned) {
+  // Persisted RunCache snapshots and the TuningCache context hash (a
+  // verify-off run_key) must keep hitting across builds: the verify-off key
+  // of a fixed matrix and spec is part of the on-disk contract.
+  const sparse::CsrMatrix m(3, 4, {0, 2, 3, 5}, {0, 3, 1, 0, 2}, {1.0, 2.0, 3.0, 4.0, 5.0});
+  const RunKey key = run_key(m, EngineConfig{}, {0, 1, 10, 11}, RunSpec{});
+  EXPECT_EQ(key.matrix, 0xf99f63749295c8e7ULL);
+  EXPECT_EQ(key.spec, 0x2953e20cb5bef2efULL);
+}
+
 TEST(RunCache, LookupMissesThenHitsAndCounts) {
   RunCache cache(4);
   const RunKey key{1, 2};

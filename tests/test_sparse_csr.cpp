@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <stdexcept>
+#include <thread>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "common/hash.hpp"
 #include "gen/generators.hpp"
+#include "testbed/suite.hpp"
 
 namespace scc::sparse {
 namespace {
@@ -203,6 +211,88 @@ TEST(CsrFingerprint, StableAcrossConstructionPaths) {
   const auto m = gen::random_uniform(300, 7, 42);
   EXPECT_EQ(m.fingerprint(), m.fingerprint());
   EXPECT_EQ(CsrMatrix::from_coo(m.to_coo()).fingerprint(), m.fingerprint());
+}
+
+// A digest memo member without noexcept copy/move would make
+// std::vector<SuiteEntry> copy every matrix when it reallocates.
+static_assert(std::is_nothrow_move_constructible_v<CsrMatrix>);
+static_assert(std::is_nothrow_move_assignable_v<CsrMatrix>);
+static_assert(std::is_nothrow_move_constructible_v<testbed::SuiteEntry>);
+
+/// The digests recomputed from the matrix's current arrays, bypassing the memo.
+std::uint64_t direct_fingerprint(const CsrMatrix& m) {
+  common::Fnv1a hash;
+  hash.i64(m.rows());
+  hash.i64(m.cols());
+  hash.array(m.ptr());
+  hash.array(m.col());
+  return hash.value();
+}
+
+std::uint64_t direct_value_digest(const CsrMatrix& m) {
+  common::Fnv1a hash;
+  hash.array(m.val());
+  return hash.value();
+}
+
+void expect_digests_match_contents(const CsrMatrix& m, const char* which) {
+  EXPECT_EQ(m.fingerprint(), direct_fingerprint(m)) << which;
+  EXPECT_EQ(m.value_digest(), direct_value_digest(m)) << which;
+}
+
+/// A matrix whose memos are already populated, so a stale copy would show.
+CsrMatrix digested(CsrMatrix m) {
+  m.fingerprint();
+  m.value_digest();
+  return m;
+}
+
+TEST(CsrFingerprint, MemoFollowsCopiesAndMoves) {
+  CsrMatrix source = digested(example_matrix());
+
+  const CsrMatrix copied(source);
+  expect_digests_match_contents(copied, "copy-constructed");
+  expect_digests_match_contents(source, "copy source");
+
+  CsrMatrix moved(std::move(source));
+  expect_digests_match_contents(moved, "move-constructed");
+  expect_digests_match_contents(source, "moved-from (construct)");
+
+  CsrMatrix copy_assigned = digested(gen::random_uniform(40, 3, 11));
+  copy_assigned = copied;
+  expect_digests_match_contents(copy_assigned, "copy-assigned");
+  expect_digests_match_contents(copied, "copy-assign source");
+
+  CsrMatrix move_assigned = digested(gen::random_uniform(40, 3, 12));
+  move_assigned = std::move(moved);
+  expect_digests_match_contents(move_assigned, "move-assigned");
+  expect_digests_match_contents(moved, "moved-from (assign)");
+  EXPECT_EQ(move_assigned.fingerprint(), copied.fingerprint());
+}
+
+TEST(CsrFingerprint, ValMutableResetsOnlyTheValueDigest) {
+  CsrMatrix m = example_matrix();
+  const std::uint64_t fp = m.fingerprint();
+  const std::uint64_t values = m.value_digest();
+  for (real_t& v : m.val_mutable()) v += 1.0;
+  EXPECT_EQ(m.fingerprint(), fp);
+  EXPECT_NE(m.value_digest(), values);
+  expect_digests_match_contents(m, "after val_mutable");
+}
+
+TEST(CsrFingerprint, ConcurrentFirstCallsAgree) {
+  const CsrMatrix m = gen::random_uniform(3000, 9, 5);
+  constexpr std::size_t kThreads = 4;
+  std::array<std::pair<std::uint64_t, std::uint64_t>, kThreads> seen{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&m, &seen, t] { seen[t] = {m.fingerprint(), m.value_digest()}; });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const auto& [fp, values] : seen) {
+    EXPECT_EQ(fp, direct_fingerprint(m));
+    EXPECT_EQ(values, direct_value_digest(m));
+  }
 }
 
 /// Property sweep over generated matrices: COO<->CSR round trips.
