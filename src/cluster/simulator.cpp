@@ -1204,12 +1204,18 @@ ClusterResult ClusterSimulator::run(const std::vector<serve::Request>& requests,
     registry.gauge("run_cache.evictions").set(static_cast<double>(stats.total.evictions));
     registry.gauge("run_cache.size").set(static_cast<double>(stats.total.size));
     registry.gauge("run_cache.load_factor").set(stats.total.load_factor());
+    registry.gauge("run_cache.replay_hits").set(static_cast<double>(stats.replay_hits));
+    registry.gauge("run_cache.replay_misses").set(static_cast<double>(stats.replay_misses));
+    registry.gauge("run_cache.replay_size").set(static_cast<double>(stats.replay_size));
     recorder->event("run_cache.stats",
                     {{"hits", std::to_string(stats.total.hits)},
                      {"misses", std::to_string(stats.total.misses)},
                      {"evictions", std::to_string(stats.total.evictions)},
                      {"size", std::to_string(stats.total.size)},
-                     {"shards", std::to_string(cache->shard_count())}});
+                     {"shards", std::to_string(cache->shard_count())},
+                     {"replay_hits", std::to_string(stats.replay_hits)},
+                     {"replay_misses", std::to_string(stats.replay_misses)},
+                     {"replay_size", std::to_string(stats.replay_size)}});
   }
   return result;
 }

@@ -70,7 +70,8 @@ void validate_metrics(std::vector<std::string>& problems, const Json& report) {
 }
 
 /// The optional run_cache section: an 'enabled' bool always; totals, shard
-/// metadata, and a per-shard stats array whenever a cache was attached.
+/// metadata, replay-table counters and a per-shard stats array whenever a
+/// cache was attached.
 void validate_run_cache(std::vector<std::string>& problems, const Json& report) {
   const Json* cache = report.find("run_cache");
   if (cache == nullptr) return;
@@ -82,7 +83,8 @@ void validate_run_cache(std::vector<std::string>& problems, const Json& report) 
   require(problems, enabled != nullptr && enabled->is_bool(),
           "run_cache needs a bool 'enabled'");
   if (enabled == nullptr || !enabled->is_bool() || !enabled->as_bool()) return;
-  for (const char* key : {"hits", "misses", "evictions", "size", "capacity", "shards"}) {
+  for (const char* key : {"hits", "misses", "evictions", "size", "capacity", "shards",
+                          "replay_hits", "replay_misses", "replay_size"}) {
     check_number(problems, *cache, key);
   }
   const Json* persisted = cache->find("persisted");

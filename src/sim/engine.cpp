@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <optional>
 #include <set>
 
@@ -18,15 +17,36 @@ namespace scc::sim {
 
 namespace {
 
-/// Produces one core's trace and its kernel compute-cycle count; lets the
-/// CSR run and the format-study runs share the whole aggregation pipeline.
-using TraceFn = std::function<TraceResult(const sparse::RowBlock& block,
-                                          cache::Hierarchy& hierarchy, cache::Tlb* tlb,
-                                          double& compute_cycles)>;
-
 std::vector<int> resolve_cores(const RunSpec& spec) {
   if (!spec.cores.empty()) return spec.cores;
   return chip::map_ues_to_cores(spec.policy, spec.ue_count);
+}
+
+/// One pass of `format`'s kernel over `block`, with the counts its cycle
+/// cost is priced from.
+RankReplay trace_pass(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
+                      StorageFormat format, SpmvVariant variant, cache::Hierarchy& hierarchy,
+                      cache::Tlb* tlb) {
+  if (format == StorageFormat::kCsr) {
+    const TraceResult trace = run_spmv_trace(matrix, block, variant, hierarchy, tlb);
+    return {trace, static_cast<double>(trace.nnz), static_cast<double>(trace.rows)};
+  }
+  const FormatTraceResult r =
+      format == StorageFormat::kEll   ? run_ell_trace(matrix, block, hierarchy, tlb)
+      : format == StorageFormat::kHyb ? run_hyb_trace(matrix, block, 0.33, hierarchy, tlb)
+                                      : run_bcsr_trace(matrix, block,
+                                                       format == StorageFormat::kBcsr2 ? 2 : 4,
+                                                       hierarchy, tlb);
+  return {r.trace, r.executed_elements, r.rows_iterated};
+}
+
+/// Kernel cycles per executed element of `format` (RankReplay::elements).
+double cycles_per_element(const KernelCostModel& k, StorageFormat format) {
+  if (format == StorageFormat::kCsr) return k.cycles_per_nnz;
+  if (format == StorageFormat::kBcsr2 || format == StorageFormat::kBcsr4) {
+    return k.cycles_per_bcsr_element;
+  }
+  return k.cycles_per_ell_slot;  // ELL, and HYB's ELL slab plus COO tail
 }
 
 }  // namespace
@@ -147,18 +167,10 @@ RunResult Engine::run_uncached(const sparse::CsrMatrix& matrix, const RunSpec& s
 
 RunResult Engine::run_unverified(const sparse::CsrMatrix& matrix, const RunSpec& spec,
                                  const std::vector<int>& cores) const {
-  if (spec.reorder != Reordering::kNone) {
-    // Row-schedule reordering: permute the row order (columns untouched) and
-    // replay the permuted matrix with the reorder consumed. The degraded
-    // protocol re-ships CSR blocks of the original row numbering, so it
-    // composes with CSR only.
-    SCC_REQUIRE(spec.dead_ranks.empty(), "reordering cannot combine with dead_ranks");
-    const std::vector<index_t> perm = sparse::reverse_cuthill_mckee(matrix);
-    RunSpec reordered = spec;
-    reordered.reorder = Reordering::kNone;
-    return run_unverified(matrix.permute_rows(perm), reordered, cores);
-  }
   if (!spec.dead_ranks.empty()) {
+    // The degraded protocol re-ships CSR blocks of the original row
+    // numbering, so it composes with CSR only.
+    SCC_REQUIRE(spec.reorder == Reordering::kNone, "reordering cannot combine with dead_ranks");
     SCC_REQUIRE(spec.format == StorageFormat::kCsr,
                 "dead_ranks supports the CSR format only");
     SCC_REQUIRE(spec.forced_hops < 0, "dead_ranks cannot combine with forced_hops");
@@ -171,48 +183,9 @@ RunResult Engine::run_unverified(const sparse::CsrMatrix& matrix, const RunSpec&
     result.gflops = degraded.gflops;
     return result;
   }
-  if (spec.format == StorageFormat::kCsr) {
-    return run_impl(matrix, cores, spec.variant, spec.forced_hops, spec.recorder);
-  }
-  SCC_REQUIRE(spec.variant == SpmvVariant::kCsr,
+  SCC_REQUIRE(spec.format == StorageFormat::kCsr || spec.variant == SpmvVariant::kCsr,
               "alternative storage formats have no no-x-miss variant");
-  const KernelCostModel& k = config_.kernel;
-  TraceFn trace_fn;
-  switch (spec.format) {
-    case StorageFormat::kCsr:
-      break;  // handled above
-    case StorageFormat::kEll:
-      trace_fn = [&](const sparse::RowBlock& block, cache::Hierarchy& h, cache::Tlb* tlb,
-                     double& cycles) {
-        const FormatTraceResult r = run_ell_trace(matrix, block, h, tlb);
-        cycles = k.cycles_per_ell_slot * r.executed_elements +
-                 k.cycles_per_row * r.rows_iterated;
-        return r.trace;
-      };
-      break;
-    case StorageFormat::kBcsr2:
-    case StorageFormat::kBcsr4: {
-      const index_t b = spec.format == StorageFormat::kBcsr2 ? 2 : 4;
-      trace_fn = [&, b](const sparse::RowBlock& block, cache::Hierarchy& h, cache::Tlb* tlb,
-                        double& cycles) {
-        const FormatTraceResult r = run_bcsr_trace(matrix, block, b, h, tlb);
-        cycles = k.cycles_per_bcsr_element * r.executed_elements +
-                 k.cycles_per_row * r.rows_iterated;
-        return r.trace;
-      };
-      break;
-    }
-    case StorageFormat::kHyb:
-      trace_fn = [&](const sparse::RowBlock& block, cache::Hierarchy& h, cache::Tlb* tlb,
-                     double& cycles) {
-        const FormatTraceResult r = run_hyb_trace(matrix, block, 0.33, h, tlb);
-        cycles = k.cycles_per_ell_slot * r.executed_elements +
-                 k.cycles_per_row * r.rows_iterated;
-        return r.trace;
-      };
-      break;
-  }
-  return run_generic(matrix, cores, spec.forced_hops, spec.recorder, trace_fn);
+  return run_generic(matrix, spec, cores);
 }
 
 RunResult Engine::run(const sparse::CsrMatrix& matrix, int ue_count, chip::MappingPolicy policy,
@@ -293,8 +266,7 @@ DegradedRunResult Engine::run_degraded_impl(const sparse::CsrMatrix& matrix,
   // The survivors redo the whole product over the re-balanced partition (the
   // paper's partitioner splits by nnz, so this equals a fresh run on the
   // surviving cores).
-  degraded.result =
-      run_impl(matrix, survivor_cores, spec.variant, /*forced_hops=*/-1, spec.recorder);
+  degraded.result = run_generic(matrix, spec, survivor_cores);
 
   // Recovery cost: each dead block's CSR slice (rebased ptr + col + val) is
   // re-shipped from the matrix owner through the memory controllers, after
@@ -356,25 +328,8 @@ std::string to_string(SpmvVariant variant) {
   return "unknown";
 }
 
-RunResult Engine::run_impl(const sparse::CsrMatrix& matrix, const std::vector<int>& cores,
-                           SpmvVariant variant, int forced_hops,
-                           obs::Recorder* recorder) const {
-  const KernelCostModel& k = config_.kernel;
-  TraceFn trace_fn = [&](const sparse::RowBlock& block, cache::Hierarchy& hierarchy,
-                         cache::Tlb* tlb, double& cycles) {
-    const TraceResult trace = run_spmv_trace(matrix, block, variant, hierarchy, tlb);
-    cycles = k.cycles_per_nnz * static_cast<double>(trace.nnz) +
-             k.cycles_per_row * static_cast<double>(trace.rows);
-    return trace;
-  };
-  return run_generic(matrix, cores, forced_hops, recorder, trace_fn);
-}
-
-RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const std::vector<int>& cores,
-                              int forced_hops, obs::Recorder* recorder,
-                              const std::function<TraceResult(const sparse::RowBlock&,
-                                                              cache::Hierarchy&, cache::Tlb*,
-                                                              double&)>& trace_fn) const {
+RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const RunSpec& spec,
+                              const std::vector<int>& cores) const {
   SCC_REQUIRE(!cores.empty() && cores.size() <= static_cast<std::size_t>(chip::kCoreCount),
               "core set size " << cores.size() << " out of range [1,48]");
   std::set<int> unique(cores.begin(), cores.end());
@@ -382,15 +337,22 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const std::vector
   for (int core : cores) {
     SCC_REQUIRE(core >= 0 && core < chip::kCoreCount, "core id " << core << " out of range");
   }
+  obs::Recorder* recorder = spec.recorder;
+
+  // Row-schedule reordering: replay the row-permuted matrix (columns
+  // untouched). Replay keys name the source matrix plus the reorder, so no
+  // fingerprint of the permuted copy is ever needed.
+  std::optional<sparse::CsrMatrix> reordered;
+  if (spec.reorder != Reordering::kNone) {
+    reordered = matrix.permute_rows(sparse::reverse_cuthill_mckee(matrix));
+  }
+  const sparse::CsrMatrix& replayed = reordered ? *reordered : matrix;
 
   std::vector<sparse::RowBlock> blocks;
   {
     obs::ScopedSpan span(recorder, "engine.partition");
-    blocks = sparse::partition_rows_balanced_nnz(matrix, static_cast<int>(cores.size()));
+    blocks = sparse::partition_rows_balanced_nnz(replayed, static_cast<int>(cores.size()));
   }
-
-  RunResult result;
-  result.cores.resize(cores.size());
 
   // Hoisted out of the per-rank loop: the warm-pass decision depends only on
   // the matrix and the core count (working_set_bytes walks the whole matrix).
@@ -399,7 +361,7 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const std::vector
     // Per-core share of the paper's working-set formula: using ws/P keeps
     // the same threshold semantics as the paper's "working set per core"
     // discussion.
-    const double ws_per_core = static_cast<double>(sparse::working_set_bytes(matrix)) /
+    const double ws_per_core = static_cast<double>(sparse::working_set_bytes(replayed)) /
                                static_cast<double>(cores.size());
     const double cache_bytes =
         static_cast<double>(config_.hierarchy.l2_enabled ? config_.hierarchy.l2.size_bytes
@@ -407,29 +369,91 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const std::vector
     warm_pass = ws_per_core <= config_.warm_skip_factor * cache_bytes;
   }
 
-  // One rank's replay. Each rank owns a private hierarchy/TLB and writes only
-  // its own result slot, so ranks are independent: safe to run on any thread,
-  // and the collected output is identical for any thread count. Everything
-  // cross-rank (mc_bytes, mesh traffic, metrics) is accumulated serially
-  // below from the per-rank results.
-  const auto simulate_rank = [&](std::size_t rank) {
-    const int core = cores[rank];
-    CoreResult& cr = result.cores[rank];
-    cr.core = core;
-    cr.hops = forced_hops >= 0 ? forced_hops : chip::hops_to_memory(core);
-
+  // One rank's replay: the core-independent half of its timing. Each rank
+  // owns a private hierarchy/TLB and writes only its own slot, so ranks are
+  // independent: safe to run on any thread, and the collected output is
+  // identical for any thread count.
+  std::vector<RankReplay> replays(cores.size());
+  const auto replay_rank = [&](std::size_t rank) {
     cache::Hierarchy hierarchy(config_.hierarchy);
     cache::Tlb tlb;
     cache::Tlb* tlb_ptr = config_.memory.model_tlb ? &tlb : nullptr;
-    double compute_cycles = 0.0;
     if (warm_pass) {
       // Warm pass: caches and TLB keep their state; traces count per-call,
       // so the measured pass below reports steady-state numbers.
-      trace_fn(blocks[rank], hierarchy, tlb_ptr, compute_cycles);
+      trace_pass(replayed, blocks[rank], spec.format, spec.variant, hierarchy, tlb_ptr);
       hierarchy.reset_stats();
     }
-    cr.trace = trace_fn(blocks[rank], hierarchy, tlb_ptr, compute_cycles);
+    replays[rank] = trace_pass(replayed, blocks[rank], spec.format, spec.variant, hierarchy,
+                               tlb_ptr);
+  };
 
+  std::optional<obs::ScopedSpan> replay_span;
+  replay_span.emplace(recorder, "engine.trace_replay");
+  // With a RunCache attached, ranks whose replay any earlier run stored are
+  // served from its table, and only the rest are replayed (and stored).
+  std::vector<ReplayKey> keys;
+  std::vector<std::size_t> misses;
+  for (std::size_t rank = 0; rank < cores.size(); ++rank) {
+    if (run_cache_ != nullptr) {
+      keys.push_back(replay_key(matrix, config_, spec, blocks[rank], warm_pass));
+      if (std::optional<RankReplay> hit = run_cache_->lookup_replay(keys.back())) {
+        replays[rank] = *std::move(hit);
+        continue;
+      }
+    }
+    misses.push_back(rank);
+  }
+  if (recorder == nullptr) {
+    // Host-parallel fan-out (SCC_SIM_THREADS).
+    common::parallel_for(misses.size(), [&](std::size_t i) { replay_rank(misses[i]); });
+  } else {
+    // Traced runs fan out too: each rank times its replay into a
+    // rank-indexed span buffer, and the buffers are flushed serially in
+    // rank order after the join -- the recorder sees exactly one
+    // core_trace span per rank, in rank order, at any thread count
+    // (timestamps stay wall-clock and overlap; a rank served from the
+    // replay table gets an empty span marked memo=hit).
+    std::vector<obs::SpanBuffer> rank_spans(cores.size());
+    const double served_at = recorder->now_seconds();
+    common::parallel_for(misses.size(), [&](std::size_t i) {
+      const std::size_t rank = misses[i];
+      const double start = recorder->now_seconds();
+      replay_rank(rank);
+      rank_spans[rank].span("engine.core_trace", start, recorder->now_seconds() - start,
+                            {{"core", std::to_string(cores[rank])},
+                             {"rank", std::to_string(rank)}});
+    });
+    for (std::size_t rank = 0; rank < cores.size(); ++rank) {
+      if (rank_spans[rank].size() == 0) {  // served from the replay table
+        rank_spans[rank].span("engine.core_trace", served_at, 0.0,
+                              {{"core", std::to_string(cores[rank])},
+                               {"rank", std::to_string(rank)},
+                               {"memo", "hit"}});
+      }
+      rank_spans[rank].flush_to(*recorder);
+    }
+  }
+  if (run_cache_ != nullptr) {
+    for (const std::size_t rank : misses) run_cache_->insert_replay(keys[rank], replays[rank]);
+  }
+  replay_span.reset();
+
+  // The core-dependent half: clocks, hops and the kernel cost model.
+  RunResult result;
+  result.cores.resize(cores.size());
+  const double element_cycles = cycles_per_element(config_.kernel, spec.format);
+  const int forced_hops = spec.forced_hops;
+  for (std::size_t rank = 0; rank < cores.size(); ++rank) {
+    const int core = cores[rank];
+    const RankReplay& replay = replays[rank];
+    CoreResult& cr = result.cores[rank];
+    cr.core = core;
+    cr.hops = forced_hops >= 0 ? forced_hops : chip::hops_to_memory(core);
+    cr.trace = replay.trace;
+
+    const double compute_cycles =
+        element_cycles * replay.elements + config_.kernel.cycles_per_row * replay.rows;
     const double core_hz = config_.freq.core_ghz(core) * 1e9;
     cr.compute_seconds = compute_cycles / core_hz;
     cr.l2_hit_seconds = config_.kernel.l2_hit_cycles *
@@ -441,30 +465,7 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const std::vector
                      static_cast<double>(cr.trace.tlb_misses);
     cr.isolated_seconds =
         cr.compute_seconds + cr.l2_hit_seconds + cr.stall_seconds + cr.tlb_seconds;
-  };
-
-  std::optional<obs::ScopedSpan> replay_span;
-  replay_span.emplace(recorder, "engine.trace_replay");
-  if (recorder == nullptr) {
-    // Host-parallel fan-out (SCC_SIM_THREADS).
-    common::parallel_for(cores.size(), simulate_rank);
-  } else {
-    // Traced runs fan out too: each rank times its replay into a
-    // rank-indexed span buffer, and the buffers are flushed serially in
-    // rank order after the join -- the recorder sees exactly the
-    // one-core_trace-span-per-rank sequence of the historical serial loop
-    // at any thread count (timestamps stay wall-clock and overlap).
-    std::vector<obs::SpanBuffer> rank_spans(cores.size());
-    common::parallel_for(cores.size(), [&](std::size_t rank) {
-      const double start = recorder->now_seconds();
-      simulate_rank(rank);
-      rank_spans[rank].span("engine.core_trace", start, recorder->now_seconds() - start,
-                            {{"core", std::to_string(cores[rank])},
-                             {"rank", std::to_string(rank)}});
-    });
-    for (obs::SpanBuffer& buffer : rank_spans) buffer.flush_to(*recorder);
   }
-  replay_span.reset();
 
   // Serial accumulation in rank order: integer adds, so the totals are
   // deterministic and unchanged from the pre-parallel engine.

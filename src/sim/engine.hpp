@@ -14,7 +14,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -171,7 +170,9 @@ class Engine {
   /// buffers are merged serially in rank order after the join, so the span
   /// sequence matches the serial loop exactly. When a RunCache is attached,
   /// runs are memoized by content (matrix fingerprint + effective spec +
-  /// config); hits return deep copies bit-exact versus a cold simulation.
+  /// config); hits return deep copies bit-exact versus a cold simulation,
+  /// and a miss replays only the ranks whose replay (row block, trace kind,
+  /// cache geometry; see ReplayKey) the cache does not already hold.
   RunResult run(const sparse::CsrMatrix& matrix, const RunSpec& spec) const;
 
   /// Attach a memoization cache (empty handle detaches). The engine co-owns
@@ -232,13 +233,11 @@ class Engine {
                            const std::vector<int>& cores) const;
   DegradedRunResult run_degraded_impl(const sparse::CsrMatrix& matrix, const RunSpec& spec,
                                       const std::vector<int>& cores) const;
-  RunResult run_impl(const sparse::CsrMatrix& matrix, const std::vector<int>& cores,
-                     SpmvVariant variant, int forced_hops, obs::Recorder* recorder) const;
-  RunResult run_generic(
-      const sparse::CsrMatrix& matrix, const std::vector<int>& cores, int forced_hops,
-      obs::Recorder* recorder,
-      const std::function<TraceResult(const sparse::RowBlock&, cache::Hierarchy&, cache::Tlb*,
-                                      double&)>& trace_fn) const;
+  /// Replays and prices `matrix` under `spec`'s reorder, format, variant,
+  /// forced hops and recorder on `cores`; the dead-rank and verification
+  /// knobs are the callers' business.
+  RunResult run_generic(const sparse::CsrMatrix& matrix, const RunSpec& spec,
+                        const std::vector<int>& cores) const;
 
   EngineConfig config_;
   std::shared_ptr<RunCache> run_cache_;

@@ -154,8 +154,8 @@ obs::Json run_report_json(const Engine& engine, const RunSpec& spec, const RunRe
 
   // Engine-run memoization (sim::RunCache). Counters are cache lifetime, not
   // per-run; engines without an attached cache report enabled=false only.
-  // The per-shard rows expose the sharded cache's balance (schema v1,
-  // docs/OBSERVABILITY.md).
+  // The per-shard rows expose the sharded cache's balance, the replay_*
+  // fields its per-rank replay table (schema v1, docs/OBSERVABILITY.md).
   obs::Json memo = obs::Json::object();
   memo.set("enabled", engine.run_cache() != nullptr);
   if (const RunCache* cache = engine.run_cache(); cache != nullptr) {
@@ -167,6 +167,9 @@ obs::Json run_report_json(const Engine& engine, const RunSpec& spec, const RunRe
     memo.set("capacity", static_cast<std::int64_t>(stats.total.capacity));
     memo.set("shards", static_cast<std::int64_t>(cache->shard_count()));
     memo.set("persisted", !cache->persist_path().empty());
+    memo.set("replay_hits", stats.replay_hits);
+    memo.set("replay_misses", stats.replay_misses);
+    memo.set("replay_size", static_cast<std::int64_t>(stats.replay_size));
     obs::Json per_shard = obs::Json::array();
     for (const RunCache::ShardStats& shard : stats.per_shard) {
       obs::Json s = obs::Json::object();

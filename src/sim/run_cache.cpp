@@ -73,6 +73,40 @@ RunKey run_key(const sparse::CsrMatrix& matrix, const EngineConfig& config,
   return RunKey{.matrix = matrix.fingerprint(), .spec = hash.value()};
 }
 
+ReplayKey replay_key(const sparse::CsrMatrix& source, const EngineConfig& config,
+                     const RunSpec& spec, const sparse::RowBlock& block, bool warm_pass) {
+  const cache::CacheConfig& l1 = config.hierarchy.l1;
+  const cache::CacheConfig& l2 = config.hierarchy.l2;
+  return ReplayKey{
+      .matrix = source.fingerprint(),
+      .reorder = spec.reorder,
+      .format = spec.format,
+      .variant = spec.variant,
+      .row_begin = block.row_begin,
+      .row_end = block.row_end,
+      .warm_pass = warm_pass,
+      .caches = {l1.size_bytes, l1.line_bytes, static_cast<std::uint64_t>(l1.ways),
+                 l2.size_bytes, l2.line_bytes, static_cast<std::uint64_t>(l2.ways)},
+      .l2_enabled = config.hierarchy.l2_enabled,
+      .model_tlb = config.memory.model_tlb,
+  };
+}
+
+std::size_t RunCache::ReplayKeyHash::operator()(const ReplayKey& key) const {
+  common::Fnv1a hash;
+  hash.u64(key.matrix);
+  hash.u64(static_cast<std::uint64_t>(key.reorder));
+  hash.u64(static_cast<std::uint64_t>(key.format));
+  hash.u64(static_cast<std::uint64_t>(key.variant));
+  hash.i64(key.row_begin);
+  hash.i64(key.row_end);
+  hash.boolean(key.warm_pass);
+  hash.array(std::span<const std::uint64_t>(key.caches));
+  hash.boolean(key.l2_enabled);
+  hash.boolean(key.model_tlb);
+  return static_cast<std::size_t>(hash.value());
+}
+
 namespace {
 
 std::uint64_t fold_key(const RunKey& key) {
@@ -99,7 +133,8 @@ std::size_t resolve_shard_count(const RunCacheConfig& config) {
 RunCache::RunCache(const RunCacheConfig& config)
     : capacity_(config.capacity),
       persist_path_(config.persist_path),
-      max_snapshot_bytes_(config.max_snapshot_bytes) {
+      max_snapshot_bytes_(config.max_snapshot_bytes),
+      replay_capacity_(kReplaysPerEntry * config.capacity) {
   SCC_REQUIRE(capacity_ >= 1, "RunCache capacity must be >= 1");
   const std::size_t shard_count = resolve_shard_count(config);
   shards_ = std::vector<Shard>(shard_count);
@@ -216,7 +251,34 @@ void RunCache::insert_with_generation(const RunKey& key, const RunResult& result
   shard.insertions.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::optional<RankReplay> RunCache::lookup_replay(const ReplayKey& key) {
+  const std::lock_guard<std::mutex> lock(replay_mutex_);
+  const auto it = replays_.find(key);
+  if (it == replays_.end()) {
+    ++replay_misses_;
+    return std::nullopt;
+  }
+  ++replay_hits_;
+  return it->second;
+}
+
+void RunCache::insert_replay(const ReplayKey& key, const RankReplay& replay) {
+  const std::lock_guard<std::mutex> lock(replay_mutex_);
+  const auto [it, inserted] = replays_.emplace(key, replay);
+  if (!inserted) return;  // an engine racing on the same rank stored it first
+  replay_order_.push_back(&it->first);
+  if (replay_order_.size() > replay_capacity_) {
+    replays_.erase(replays_.find(*replay_order_.front()));
+    replay_order_.pop_front();
+  }
+}
+
 void RunCache::clear() {
+  {
+    const std::lock_guard<std::mutex> lock(replay_mutex_);
+    replays_.clear();
+    replay_order_.clear();
+  }
   for (Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.insert_mutex);
     for (std::size_t i = 0; i < shard.slot_count; ++i) {
@@ -251,6 +313,10 @@ RunCache::Stats RunCache::stats() const {
     stats.total.capacity += s.capacity;
     stats.per_shard.push_back(s);
   }
+  const std::lock_guard<std::mutex> lock(replay_mutex_);
+  stats.replay_hits = replay_hits_;
+  stats.replay_misses = replay_misses_;
+  stats.replay_size = replays_.size();
   return stats;
 }
 

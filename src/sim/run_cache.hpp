@@ -1,5 +1,6 @@
 // Content-keyed memoization of Engine::run -- sharded, mostly lock-free,
-// optionally persisted to disk.
+// optionally persisted to disk -- plus a bounded table of per-rank trace
+// replays that run-cache misses share.
 //
 // The serving layers dispatch bit-identical (matrix, RunSpec) jobs over and
 // over -- every same-matrix batch, every failover replay, every sweep point
@@ -19,6 +20,18 @@
 //
 // Both matrix digests are computed once per matrix and cached on it, so a
 // key costs a hash of the spec and config only (MODEL.md section 7).
+//
+// Per-rank replay reuse (MODEL.md section 7): a whole-run miss still need
+// not replay every rank. A rank's trace and kernel counts depend only on
+// its row block of the (possibly RCM-reordered) matrix, the trace kind, the
+// warm-pass flag and the private L1/L2/TLB geometry -- never on the core it
+// runs on -- so the cache also keeps a bounded table of those replays
+// (ReplayKey -> RankReplay, kReplaysPerEntry x capacity entries, oldest
+// evicted first, one mutex). Engine::run looks every rank up before its
+// fan-out, replays only the misses and prices all ranks for their cores
+// as before, so a degraded run's survivors, a cold re-ship timing or a run
+// on re-allocated cores reuses whatever any same-size core set replayed.
+// The table is in-memory only: snapshots neither write nor read it.
 //
 // Concurrency (MODEL.md section 7): the cache is split into a power-of-two
 // number of shards selected by the key hash. Each shard is a fixed slot
@@ -42,12 +55,15 @@
 // versus a cold simulation -- also after a snapshot round trip.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -66,6 +82,40 @@ struct RunKey {
 /// tests; Engine::run computes it internally.
 RunKey run_key(const sparse::CsrMatrix& matrix, const EngineConfig& config,
                const std::vector<int>& cores, const RunSpec& spec);
+
+/// Identity of one rank's trace replay: everything its TraceResult and
+/// kernel counts depend on. The core, clocks, kernel cost model, hops and
+/// verification are applied after the replay, so they stay out of the key.
+struct ReplayKey {
+  std::uint64_t matrix = 0;  ///< fingerprint() of the matrix before any reorder
+  Reordering reorder = Reordering::kNone;
+  StorageFormat format = StorageFormat::kCsr;
+  SpmvVariant variant = SpmvVariant::kCsr;
+  index_t row_begin = 0;  ///< the rank's row block (of the reordered matrix)
+  index_t row_end = 0;
+  bool warm_pass = false;
+  /// L1 then L2 size, line and ways; the TLB geometry is fixed, so only
+  /// the model_tlb switch varies it.
+  std::array<std::uint64_t, 6> caches{};
+  bool l2_enabled = true;
+  bool model_tlb = true;
+  friend bool operator==(const ReplayKey&, const ReplayKey&) = default;
+};
+
+/// Key of replaying `block` of `source` (reordered by `spec.reorder`) with
+/// `spec`'s trace kind on an engine built from `config`. Exposed for
+/// tests; Engine::run computes it internally.
+ReplayKey replay_key(const sparse::CsrMatrix& source, const EngineConfig& config,
+                     const RunSpec& spec, const sparse::RowBlock& block, bool warm_pass);
+
+/// One rank's replay: its trace plus the raw kernel counts the cost model
+/// prices -- nnz and rows for CSR, executed elements and rows iterated for
+/// ELL/BCSR/HYB. Never cycles or seconds, which depend on the core.
+struct RankReplay {
+  TraceResult trace;
+  double elements = 0.0;
+  double rows = 0.0;
+};
 
 /// Construction-time knobs of a RunCache.
 struct RunCacheConfig {
@@ -96,6 +146,9 @@ class RunCache {
   /// v3: RunKey covers the verify/SDC knobs (plus matrix values when
   /// verification is live) and RunResult carries the ABFT fields.
   static constexpr std::uint32_t kSnapshotVersion = 3;
+  /// Bound of the replay table, per entry of whole-run capacity: a default
+  /// cache keeps up to 1,024 replays, about 300 bytes each.
+  static constexpr std::size_t kReplaysPerEntry = 8;
 
   explicit RunCache(const RunCacheConfig& config);
 
@@ -115,6 +168,17 @@ class RunCache {
   /// key's shard is full. Takes only that shard's insert mutex.
   void insert(const RunKey& key, const RunResult& result);
 
+  /// Copy of the stored replay for `key`, or nullopt; counts a replay hit
+  /// or miss.
+  std::optional<RankReplay> lookup_replay(const ReplayKey& key);
+
+  /// Store `replay` under `key` unless it is already present, evicting the
+  /// oldest replay when the table is full.
+  void insert_replay(const ReplayKey& key, const RankReplay& replay);
+
+  std::size_t replay_capacity() const { return replay_capacity_; }
+
+  /// Drop every run and replay entry (counters keep counting).
   void clear();
 
   /// Point-in-time counters of one shard (and, aggregated, of the cache).
@@ -132,6 +196,9 @@ class RunCache {
   struct Stats {
     ShardStats total;                    ///< sums over every shard
     std::vector<ShardStats> per_shard;   ///< indexed by shard id
+    std::uint64_t replay_hits = 0;       ///< ranks served from the replay table
+    std::uint64_t replay_misses = 0;     ///< ranks replayed
+    std::size_t replay_size = 0;         ///< replays held (<= replay_capacity())
   };
   Stats stats() const;
 
@@ -200,6 +267,18 @@ class RunCache {
   /// Save epoch counter; mutable because a (const) save starts a new epoch.
   mutable std::atomic<std::uint64_t> generation_{1};
   std::vector<Shard> shards_;
+
+  struct ReplayKeyHash {
+    std::size_t operator()(const ReplayKey& key) const;
+  };
+  std::size_t replay_capacity_;
+  mutable std::mutex replay_mutex_;  ///< guards everything below
+  std::unordered_map<ReplayKey, RankReplay, ReplayKeyHash> replays_;
+  /// Keys of `replays_` in insertion order (pointers into its nodes, which
+  /// stay put until erased): the front is evicted first.
+  std::deque<const ReplayKey*> replay_order_;
+  std::uint64_t replay_hits_ = 0;
+  std::uint64_t replay_misses_ = 0;
 };
 
 }  // namespace scc::sim

@@ -110,7 +110,8 @@ std::vector<index_t> reverse_cuthill_mckee(const CsrMatrix& matrix) {
 
   for (index_t seed = 0; seed < n; ++seed) {
     if (placed[static_cast<std::size_t>(seed)]) continue;
-    // Pseudo-peripheral start: two BFS sweeps from the component's seed.
+    // Pseudo-peripheral start: the last vertex one BFS sweep from the
+    // component's seed reaches.
     std::vector<bool> visited(placed);
     std::vector<index_t> scratch;
     const index_t far = bfs(g, seed, visited, scratch);

@@ -17,7 +17,7 @@ namespace scc::sparse {
 /// Reverse Cuthill-McKee ordering of the symmetrized pattern of a square
 /// matrix. Returns `perm` with perm[new] = old, suitable for
 /// `CsrMatrix::permute_symmetric`. Each connected component is seeded from a
-/// pseudo-peripheral vertex found by repeated BFS.
+/// pseudo-peripheral vertex: the last one a BFS from its lowest vertex reaches.
 std::vector<index_t> reverse_cuthill_mckee(const CsrMatrix& matrix);
 
 }  // namespace scc::sparse

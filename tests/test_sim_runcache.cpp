@@ -4,12 +4,15 @@
 // else, (b) LRU-like (CLOCK/second-chance) eviction with a hard capacity
 // bound that holds at any shard count, (c) a hit is a deep copy bit-exact
 // versus the cold simulation that produced it -- also after a snapshot
-// round trip through disk -- and (d) the lock-free hit path stays sane
-// under concurrent readers and writers.
+// round trip through disk -- (d) the lock-free hit path stays sane
+// under concurrent readers and writers, and (e) a whole-run miss serves
+// every rank whose replay any same-size core set stored, bit-exact versus
+// a cache-less engine, while every replay input forces a fresh replay.
 #include "sim/run_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -20,11 +23,18 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/simulator.hpp"
+#include "common/parallel.hpp"
 #include "gen/generators.hpp"
 #include "integrity/integrity.hpp"
+#include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "scc/mapping.hpp"
+#include "serve/loadgen.hpp"
+#include "serve/simulator.hpp"
 #include "sim/report.hpp"
+#include "sparse/partition.hpp"
+#include "sparse/reorder.hpp"
 
 namespace scc::sim {
 namespace {
@@ -730,6 +740,471 @@ TEST(RunCachePersist, UnboundedCapKeepsEveryEntry) {
   RunCache restored(RunCacheConfig{64, 1, ""});
   ASSERT_TRUE(restored.load_snapshot(file.path));
   EXPECT_EQ(restored.size(), 20u);
+}
+
+
+// ---- Per-rank replay reuse ----
+
+/// Restores the environment's host thread count on scope exit.
+struct ThreadGuard {
+  explicit ThreadGuard(int threads) { common::set_sim_threads(threads); }
+  ~ThreadGuard() { common::set_sim_threads(0); }
+};
+
+/// A trace kind the replay table must serve: format, variant and reorder.
+struct ReplayCase {
+  const char* name;
+  StorageFormat format;
+  SpmvVariant variant;
+  Reordering reorder;
+};
+
+constexpr ReplayCase kReplayCases[] = {
+    {"CSR", StorageFormat::kCsr, SpmvVariant::kCsr, Reordering::kNone},
+    {"CSR no-x-miss", StorageFormat::kCsr, SpmvVariant::kCsrNoXMiss, Reordering::kNone},
+    {"ELL", StorageFormat::kEll, SpmvVariant::kCsr, Reordering::kNone},
+    {"BCSR 2", StorageFormat::kBcsr2, SpmvVariant::kCsr, Reordering::kNone},
+    {"BCSR 4", StorageFormat::kBcsr4, SpmvVariant::kCsr, Reordering::kNone},
+    {"HYB", StorageFormat::kHyb, SpmvVariant::kCsr, Reordering::kNone},
+    {"RCM", StorageFormat::kCsr, SpmvVariant::kCsr, Reordering::kRcmRows},
+};
+
+/// Square, irregular rows: every format and the RCM reorder apply.
+sparse::CsrMatrix replay_matrix() { return gen::power_law(600, 8, 1.9, 5); }
+
+RunSpec spec_on(const ReplayCase& c, std::vector<int> cores) {
+  RunSpec spec;
+  spec.cores = std::move(cores);
+  spec.format = c.format;
+  spec.variant = c.variant;
+  spec.reorder = c.reorder;
+  return spec;
+}
+
+/// `result` serialized against a cache-less engine of `config`, as
+/// SimParallel.CacheHitMatchesAnyThreadCount does: the report embeds live
+/// cache counters, and only the simulated numbers are under test.
+std::string report_of(const EngineConfig& config, const RunSpec& spec, const RunResult& result) {
+  const Engine plain(config);
+  return run_report_json(plain, spec, result).dump(2);
+}
+
+std::string truth_of(const EngineConfig& config, const sparse::CsrMatrix& m,
+                     const RunSpec& spec) {
+  const Engine plain(config);
+  return run_report_json(plain, spec, plain.run(m, spec)).dump(2);
+}
+
+TEST(ReplayReuse, OtherSameSizeCoreSetsReuseEveryRankBitExactly) {
+  const auto m = replay_matrix();
+  const std::vector<int> primed = {0, 1, 2, 3, 4, 5};
+  const std::vector<int> other = {47, 30, 12, 9, 40, 22};
+  const std::vector<int> seven = {8, 19, 27, 33, 41, 44, 46};  // rank 3 dies: 6 survive
+  for (const bool steady_state : {true, false}) {
+    EngineConfig base;
+    base.measure_steady_state = steady_state;
+    EngineConfig conf1 = base;
+    conf1.freq = chip::FrequencyConfig::conf1();
+    EngineConfig costly = base;
+    costly.kernel.cycles_per_nnz = 21.0;
+    costly.kernel.cycles_per_row = 5.0;
+    costly.kernel.cycles_per_ell_slot = 11.0;
+    costly.kernel.cycles_per_bcsr_element = 17.0;
+    costly.kernel.l2_hit_cycles = 30.0;
+
+    for (const ReplayCase& c : kReplayCases) {
+      auto cache = std::make_shared<RunCache>();
+      Engine primer(base);
+      primer.attach_run_cache(cache);
+      primer.run(m, spec_on(c, primed));
+      ASSERT_EQ(cache->stats().replay_misses, 6u) << c.name;
+
+      struct Variant {
+        const char* what;
+        EngineConfig config;
+        RunSpec spec;
+      };
+      RunSpec forced = spec_on(c, other);
+      forced.forced_hops = 2;
+      std::vector<Variant> variants = {{"healthy", base, spec_on(c, other)},
+                                       {"forced_hops", base, forced},
+                                       {"conf1", conf1, spec_on(c, other)},
+                                       {"cost model", costly, spec_on(c, other)}};
+      if (c.format == StorageFormat::kCsr && c.reorder == Reordering::kNone) {
+        RunSpec degraded = spec_on(c, seven);
+        degraded.dead_ranks = {3};
+        variants.push_back({"degraded", base, degraded});
+      }
+      for (const Variant& v : variants) {
+        Engine engine(v.config);
+        engine.attach_run_cache(cache);
+        const RunCache::Stats before = cache->stats();
+        const RunResult result = engine.run(m, v.spec);
+        const RunCache::Stats after = cache->stats();
+        const std::string where =
+            std::string(c.name) + " / " + v.what + (steady_state ? " / warm" : " / cold");
+        EXPECT_EQ(after.total.misses, before.total.misses + 1) << where;
+        EXPECT_EQ(after.replay_hits, before.replay_hits + 6) << where;
+        EXPECT_EQ(after.replay_misses, before.replay_misses) << where;
+        EXPECT_EQ(report_of(v.config, v.spec, result), truth_of(v.config, m, v.spec)) << where;
+      }
+    }
+  }
+}
+
+TEST(ReplayReuse, PartlyStoredRunsMixHitsAndReplaysInRankOrder) {
+  // A capacity-1 cache keeps 8 replays: the last 8 ranks of a 48-rank run.
+  // A 48-rank run elsewhere then serves those 8 and replays 40, and a
+  // traced one still emits one core_trace span per rank, in rank order.
+  const auto m = replay_matrix();
+  auto cache = std::make_shared<RunCache>(RunCacheConfig{1, 1, ""});
+  Engine engine;
+  engine.attach_run_cache(cache);
+  RunSpec spec;
+  spec.ue_count = 48;
+  engine.run(m, spec);
+  EXPECT_EQ(cache->stats().replay_size, RunCache::kReplaysPerEntry);
+
+  for (const int threads : {1, 3}) {
+    const ThreadGuard guard(threads);
+    RunSpec moved = spec;
+    moved.policy = threads == 1 ? chip::MappingPolicy::kDistanceReduction
+                                : chip::MappingPolicy::kContentionAware;
+    obs::Recorder recorder;
+    moved.recorder = &recorder;
+    const RunCache::Stats before = cache->stats();
+    const RunResult result = engine.run(m, moved);
+    const RunCache::Stats after = cache->stats();
+    EXPECT_EQ(after.replay_hits - before.replay_hits, 8u);
+    EXPECT_EQ(after.replay_misses - before.replay_misses, 40u);
+    moved.recorder = nullptr;
+    EXPECT_EQ(report_of(EngineConfig{}, moved, result), truth_of(EngineConfig{}, m, moved));
+
+    std::size_t rank = 0;
+    std::size_t served = 0;
+    for (const obs::TraceEvent& e : recorder.events()) {
+      if (e.name != "engine.core_trace") continue;
+      ASSERT_GE(e.attrs.size(), 2u);
+      EXPECT_EQ(e.attrs[1].second, std::to_string(rank));
+      if (e.attrs.size() == 3 && e.attrs[2].first == "memo") ++served;
+      ++rank;
+    }
+    EXPECT_EQ(rank, 48u);
+    EXPECT_EQ(served, 8u);
+  }
+}
+
+/// `n` x `n` with the nonzeros of row r at columns (r + offset) mod n:
+/// every row holds the same count, so any row permutation -- RCM's too --
+/// has the same nnz-balanced blocks, and only the key's reorder field tells
+/// a reordered replay from a plain one.
+sparse::CsrMatrix uniform_rows(index_t n, const std::vector<index_t>& offsets) {
+  std::vector<nnz_t> ptr = {0};
+  std::vector<index_t> col;
+  for (index_t r = 0; r < n; ++r) {
+    std::vector<index_t> cols;
+    for (const index_t offset : offsets) cols.push_back((r + offset) % n);
+    std::sort(cols.begin(), cols.end());
+    col.insert(col.end(), cols.begin(), cols.end());
+    ptr.push_back(static_cast<nnz_t>(col.size()));
+  }
+  std::vector<real_t> val(col.size(), 1.0);
+  return sparse::CsrMatrix(n, n, std::move(ptr), std::move(col), std::move(val));
+}
+
+TEST(ReplayReuse, EveryReplayInputForcesAReplay) {
+  const auto m = uniform_rows(600, {0, 17, 150, 411});
+  ASSERT_EQ(sparse::partition_rows_balanced_nnz(
+                m.permute_rows(sparse::reverse_cuthill_mckee(m)), 4),
+            sparse::partition_rows_balanced_nnz(m, 4));
+  const std::vector<int> primed = {0, 1, 2, 3};
+  const std::vector<int> other = {10, 11, 12, 13};
+  struct Change {
+    const char* what;
+    EngineConfig base_config;
+    RunSpec base_spec;
+    EngineConfig config;
+    RunSpec spec;
+    sparse::CsrMatrix matrix;
+  };
+  const EngineConfig config;
+  RunSpec base;
+  base.cores = primed;
+  RunSpec moved = base;
+  moved.cores = other;
+  std::vector<Change> changes;
+  changes.push_back({"matrix structure", config, base, config, moved,
+                     uniform_rows(600, {0, 17, 150, 412})});
+  {
+    RunSpec five = moved;
+    five.cores.push_back(14);
+    changes.push_back({"row block", config, base, config, five, m});
+  }
+  {
+    RunSpec b2 = base;
+    b2.format = StorageFormat::kBcsr2;
+    RunSpec b4 = moved;
+    b4.format = StorageFormat::kBcsr4;
+    changes.push_back({"BCSR 2 vs 4", config, b2, config, b4, m});
+  }
+  {
+    RunSpec no_x = moved;
+    no_x.variant = SpmvVariant::kCsrNoXMiss;
+    changes.push_back({"CSR vs no-x-miss", config, base, config, no_x, m});
+  }
+  {
+    RunSpec rcm = moved;
+    rcm.reorder = Reordering::kRcmRows;
+    changes.push_back({"RCM reorder", config, base, config, rcm, m});
+  }
+  const auto with = [&](const char* what, auto&& mutate) {
+    EngineConfig changed = config;
+    mutate(changed);
+    changes.push_back({what, config, base, changed, moved, m});
+  };
+  with("warm-pass flag", [](EngineConfig& c) { c.measure_steady_state = false; });
+  with("L1 size", [](EngineConfig& c) { c.hierarchy.l1.size_bytes = 8 * 1024; });
+  with("L1 ways", [](EngineConfig& c) { c.hierarchy.l1.ways = 2; });
+  with("L2 size", [](EngineConfig& c) { c.hierarchy.l2.size_bytes = 128 * 1024; });
+  with("L2 ways", [](EngineConfig& c) { c.hierarchy.l2.ways = 8; });
+  with("line size", [](EngineConfig& c) {
+    c.hierarchy.l1.line_bytes = 64;  // the hierarchy needs equal lines
+    c.hierarchy.l2.line_bytes = 64;
+  });
+  with("l2_enabled", [](EngineConfig& c) { c.hierarchy.l2_enabled = false; });
+  with("model_tlb", [](EngineConfig& c) { c.memory.model_tlb = false; });
+
+  for (const Change& change : changes) {
+    auto cache = std::make_shared<RunCache>();
+    Engine primer(change.base_config);
+    primer.attach_run_cache(cache);
+    primer.run(m, change.base_spec);
+    Engine engine(change.config);
+    engine.attach_run_cache(cache);
+    const RunCache::Stats before = cache->stats();
+    const RunResult result = engine.run(change.matrix, change.spec);
+    const RunCache::Stats after = cache->stats();
+    EXPECT_EQ(after.replay_hits, before.replay_hits) << change.what;
+    EXPECT_EQ(after.replay_misses - before.replay_misses, change.spec.cores.size())
+        << change.what;
+    EXPECT_EQ(report_of(change.config, change.spec, result),
+              truth_of(change.config, change.matrix, change.spec))
+        << change.what;
+  }
+}
+
+TEST(ReplayReuse, KeyCoversEachCacheGeometryWordAndNothingCoreDependent) {
+  const auto m = replay_matrix();
+  const EngineConfig config;
+  const RunSpec spec;
+  const sparse::RowBlock block{0, 100, 0};
+  const ReplayKey key = replay_key(m, config, spec, block, true);
+  for (std::size_t word = 0; word < 6; ++word) {
+    EngineConfig changed = config;
+    cache::CacheConfig& level = word < 3 ? changed.hierarchy.l1 : changed.hierarchy.l2;
+    if (word % 3 == 0) level.size_bytes *= 2;
+    if (word % 3 == 1) level.line_bytes *= 2;
+    if (word % 3 == 2) level.ways *= 2;
+    EXPECT_NE(replay_key(m, changed, spec, block, true), key) << "geometry word " << word;
+  }
+  EXPECT_NE(replay_key(m, config, spec, block, false), key);
+  EXPECT_NE(replay_key(m, config, spec, sparse::RowBlock{0, 101, 0}, true), key);
+
+  // Priced after the replay, so shared by every core set and cost model.
+  EngineConfig priced = config;
+  priced.freq = chip::FrequencyConfig::conf1();
+  priced.kernel.cycles_per_nnz = 99.0;
+  priced.memory.miss_stall_fraction = 0.5;
+  priced.memory.model_contention = false;
+  RunSpec placed = spec;
+  placed.cores = {5, 6, 7};
+  placed.forced_hops = 3;
+  placed.dead_ranks = {1};
+  placed.verify = integrity::VerifyMode::kCorrect;
+  placed.sdc.rate = 0.5;
+  EXPECT_EQ(replay_key(m, priced, placed, block, true), key);
+}
+
+TEST(ReplayReuse, TableStaysWithinItsBoundEvictsOldestFirstAndClears) {
+  RunCache cache(RunCacheConfig{2, 1, ""});
+  const std::size_t bound = 2 * RunCache::kReplaysPerEntry;
+  EXPECT_EQ(cache.replay_capacity(), bound);
+  const auto key = [](std::uint64_t i) { return ReplayKey{.matrix = i + 1}; };
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    cache.insert_replay(key(i), RankReplay{.trace = {}, .elements = 0.0,
+                                           .rows = static_cast<double>(i)});
+    EXPECT_LE(cache.stats().replay_size, bound);
+  }
+  cache.insert_replay(key(49), RankReplay{});  // present: neither stored twice nor replaced
+  EXPECT_EQ(cache.stats().replay_size, bound);
+  EXPECT_FALSE(cache.lookup_replay(key(50 - bound - 1)).has_value());
+  const auto oldest_kept = cache.lookup_replay(key(50 - bound));
+  ASSERT_TRUE(oldest_kept.has_value());
+  EXPECT_EQ(oldest_kept->rows, static_cast<double>(50 - bound));
+  EXPECT_EQ(cache.lookup_replay(key(49))->rows, 49.0);
+
+  cache.clear();
+  EXPECT_EQ(cache.stats().replay_size, 0u);
+  EXPECT_FALSE(cache.lookup_replay(key(49)).has_value());
+}
+
+TEST(ReplayReuse, SnapshotsNeitherWriteNorNeedTheReplayTable) {
+  static_assert(RunCache::kSnapshotVersion == 3);
+  const auto m = test_matrix();
+  auto cache = std::make_shared<RunCache>(RunCacheConfig{8, 2, ""});
+  Engine engine;
+  engine.attach_run_cache(cache);
+  RunSpec spec;
+  spec.ue_count = 6;
+  const RunResult truth = engine.run(m, spec);
+  ASSERT_EQ(cache->stats().replay_size, 6u);
+
+  const auto bytes_of = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  };
+  const SnapshotFile first("scc_runcache_replay_first.snapshot");
+  const SnapshotFile second("scc_runcache_replay_second.snapshot");
+  ASSERT_TRUE(cache->save_snapshot(first.path));
+  cache->insert_replay(ReplayKey{.matrix = 1}, RankReplay{});
+  ASSERT_TRUE(cache->save_snapshot(second.path));
+  EXPECT_EQ(bytes_of(first.path), bytes_of(second.path));
+
+  RunCache restored(RunCacheConfig{8, 2, ""});
+  ASSERT_TRUE(restored.load_snapshot(first.path));
+  EXPECT_EQ(restored.stats().replay_size, 0u);
+  Engine replay;
+  replay.attach_run_cache(std::shared_ptr<RunCache>(std::shared_ptr<RunCache>(), &restored));
+  EXPECT_EQ(report_of(EngineConfig{}, spec, replay.run(m, spec)),
+            report_of(EngineConfig{}, spec, truth));
+  EXPECT_EQ(restored.hits(), 1u);
+  EXPECT_EQ(restored.stats().replay_hits + restored.stats().replay_misses, 0u);
+}
+
+TEST(ReplayReuse, ConcurrentEnginesOnDifferentCoreSetsShareOneTable) {
+  // TSan-facing: 4 host threads, each with its own engine on the shared
+  // cache, price 6-rank core sets no other thread uses.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  constexpr std::size_t kRanks = 6;
+  const auto m = replay_matrix();
+  const auto spec_of = [](int thread, int round) {
+    RunSpec spec;
+    const int first = thread * 12 + round;
+    for (std::size_t k = 0; k < kRanks; ++k) {
+      spec.cores.push_back((first + 7 * static_cast<int>(k)) % chip::kCoreCount);
+    }
+    spec.format = round == 1 ? StorageFormat::kEll : StorageFormat::kCsr;
+    return spec;
+  };
+  const ThreadGuard guard(2);
+  auto cache = std::make_shared<RunCache>();
+  std::vector<std::vector<RunResult>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Engine engine;
+      engine.attach_run_cache(cache);
+      for (int round = 0; round < kRounds; ++round) {
+        results[static_cast<std::size_t>(t)].push_back(engine.run(m, spec_of(t, round)));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (int round = 0; round < kRounds; ++round) {
+      const RunSpec spec = spec_of(t, round);
+      EXPECT_EQ(report_of(EngineConfig{}, spec,
+                          results[static_cast<std::size_t>(t)][static_cast<std::size_t>(round)]),
+                truth_of(EngineConfig{}, m, spec))
+          << "thread " << t << " round " << round;
+    }
+  }
+  const RunCache::Stats stats = cache->stats();
+  EXPECT_EQ(stats.total.misses, static_cast<std::uint64_t>(kThreads * kRounds));
+  EXPECT_EQ(stats.replay_hits + stats.replay_misses, kThreads * kRounds * kRanks);
+  // Two trace kinds of kRanks blocks each; racing first runs may replay a
+  // rank more than once, but each thread's later CSR run finds its own.
+  EXPECT_EQ(stats.replay_size, 2 * kRanks);
+  EXPECT_LE(stats.replay_misses, 2 * kThreads * kRanks);
+  EXPECT_GE(stats.replay_hits, static_cast<std::uint64_t>(kThreads) * kRanks);
+}
+
+TEST(ReplayReuse, RunReportCarriesTheReplayCounters) {
+  const auto m = test_matrix();
+  Engine engine;
+  engine.attach_run_cache(std::make_shared<RunCache>());
+  RunSpec spec;
+  spec.ue_count = 4;
+  const RunResult result = engine.run(m, spec);
+  const obs::Json report = run_report_json(engine, spec, result);
+  const obs::Json& section = report.at("run_cache");
+  EXPECT_EQ(section.at("replay_hits").as_int(), 0);
+  EXPECT_EQ(section.at("replay_misses").as_int(), 4);
+  EXPECT_EQ(section.at("replay_size").as_int(), 4);
+  EXPECT_TRUE(obs::validate_report(report).empty());
+
+  obs::Json broken = report;
+  obs::Json broken_section = section;
+  broken_section.set("replay_size", obs::Json("four"));
+  broken.set("run_cache", std::move(broken_section));
+  EXPECT_FALSE(obs::validate_report(broken).empty());
+
+  // Without a cache the section stays the bare `enabled: false`.
+  const Engine plain;
+  const obs::Json bare = run_report_json(plain, spec, plain.run(m, spec));
+  EXPECT_EQ(bare.at("run_cache").dump(), R"({"enabled":false})");
+}
+
+/// Value of the `key` attribute of the run_cache.stats event.
+std::string stats_event_attr(const obs::Recorder& recorder, const std::string& key) {
+  for (const obs::TraceEvent& e : recorder.events()) {
+    if (e.name != "run_cache.stats") continue;
+    for (const auto& [name, value] : e.attrs) {
+      if (name == key) return value;
+    }
+  }
+  return "missing";
+}
+
+void expect_replay_exports(const obs::Recorder& recorder, const RunCache& cache) {
+  const RunCache::Stats stats = cache.stats();
+  const obs::Json gauges = recorder.metrics().to_json().at("gauges");
+  EXPECT_GT(stats.replay_misses, 0u);
+  EXPECT_EQ(gauges.at("run_cache.replay_hits").as_double(),
+            static_cast<double>(stats.replay_hits));
+  EXPECT_EQ(gauges.at("run_cache.replay_misses").as_double(),
+            static_cast<double>(stats.replay_misses));
+  EXPECT_EQ(gauges.at("run_cache.replay_size").as_double(),
+            static_cast<double>(stats.replay_size));
+  EXPECT_EQ(stats_event_attr(recorder, "replay_hits"), std::to_string(stats.replay_hits));
+  EXPECT_EQ(stats_event_attr(recorder, "replay_misses"), std::to_string(stats.replay_misses));
+  EXPECT_EQ(stats_event_attr(recorder, "replay_size"), std::to_string(stats.replay_size));
+}
+
+TEST(ReplayReuse, TracedServeAndClusterRunsExportTheReplayCounters) {
+  serve::WorkloadSpec workload;
+  workload.request_count = 60;
+  const std::vector<serve::Request> requests = serve::generate_workload(workload);
+  {
+    serve::MatrixPool pool(0.05);
+    ASSERT_NE(pool.run_cache(), nullptr);
+    serve::Simulator simulator(serve::ServeConfig{}, pool);
+    obs::Recorder recorder;
+    simulator.run(requests, &recorder);
+    expect_replay_exports(recorder, *pool.run_cache());
+  }
+  {
+    serve::MatrixPool pool(0.05);
+    ASSERT_NE(pool.run_cache(), nullptr);
+    cluster::ClusterConfig config;
+    config.chip_count = 2;
+    cluster::ClusterSimulator simulator(config, pool);
+    obs::Recorder recorder;
+    simulator.run(requests, &recorder);
+    expect_replay_exports(recorder, *pool.run_cache());
+  }
 }
 
 }  // namespace
