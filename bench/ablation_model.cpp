@@ -70,15 +70,13 @@ int main() {
                   "headroom recovered %"});
     for (int id : {14, 17, 24, 25}) {  // random + circuit stand-ins
       const auto& e = suite[static_cast<std::size_t>(id - 1)];
-      const double base =
-          engine.run(e.matrix, 8, chip::MappingPolicy::kDistanceReduction).mflops();
+      sim::RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+      const double base = engine.run(e.matrix, spec).mflops();
       const auto perm = sparse::reverse_cuthill_mckee(e.matrix);
       const auto reordered = e.matrix.permute_symmetric(perm);
-      const double rcm =
-          engine.run(reordered, 8, chip::MappingPolicy::kDistanceReduction).mflops();
-      const double bound = engine.run(e.matrix, 8, chip::MappingPolicy::kDistanceReduction,
-                                      sim::SpmvVariant::kCsrNoXMiss)
-                               .mflops();
+      const double rcm = engine.run(reordered, spec).mflops();
+      spec.variant = sim::SpmvVariant::kCsrNoXMiss;
+      const double bound = engine.run(e.matrix, spec).mflops();
       const double recovered =
           bound > base ? (rcm - base) / (bound - base) * 100.0 : 100.0;
       t.add_row({Table::integer(id), e.name, Table::num(base, 1), Table::num(rcm, 1),

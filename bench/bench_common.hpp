@@ -57,10 +57,11 @@ inline double suite_mean_gflops(const sim::Engine& engine,
                                 const std::vector<testbed::SuiteEntry>& suite, int ue_count,
                                 chip::MappingPolicy policy,
                                 sim::SpmvVariant variant = sim::SpmvVariant::kCsr) {
+  const sim::RunSpec spec{.ue_count = ue_count, .policy = policy, .variant = variant};
   std::vector<double> gflops;
   gflops.reserve(suite.size());
   for (const auto& e : suite) {
-    gflops.push_back(engine.run(e.matrix, ue_count, policy, variant).gflops);
+    gflops.push_back(engine.run(e.matrix, spec).gflops);
   }
   return mean(gflops);
 }
@@ -69,13 +70,25 @@ inline double suite_mean_gflops(const sim::Engine& engine,
 inline double suite_mean_gflops_at_hops(const sim::Engine& engine,
                                         const std::vector<testbed::SuiteEntry>& suite,
                                         int hops) {
+  const sim::RunSpec spec{.cores = {0}, .forced_hops = hops};
   std::vector<double> gflops;
   gflops.reserve(suite.size());
   for (const auto& e : suite) {
-    gflops.push_back(engine.run_single_core_at_hops(e.matrix, hops).gflops);
+    gflops.push_back(engine.run(e.matrix, spec).gflops);
   }
   return mean(gflops);
 }
+
+/// Note on stdout that a working-set bucket holds no matrix at this testbed
+/// scale, instead of aborting on the empty mean.
+inline void report_empty_bucket(const std::string& bucket, const std::vector<double>& values) {
+  if (!values.empty()) return;
+  std::cout << "\nEmpty bucket: no matrix at testbed scale " << testbed::suite_scale_from_env()
+            << " falls in '" << bucket << "'; the claims that need it fail.\n";
+}
+
+/// `num / den`, or 0 when an empty bucket left `den` at 0.
+inline double ratio_or_zero(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
 /// Print a table and, when $SCC_BENCH_CSV_DIR is set, also write it as
 /// <dir>/<stem>.csv -- machine-readable artifacts for plotting pipelines.

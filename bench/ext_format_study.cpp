@@ -41,10 +41,10 @@ int main() {
     double best = 0.0;
     double bcsr2 = 0.0;
     std::string best_name;
+    sim::RunSpec spec{.ue_count = 24, .policy = chip::MappingPolicy::kDistanceReduction};
     for (const auto format : formats) {
-      const double mflops =
-          engine.run_format(e.matrix, 24, chip::MappingPolicy::kDistanceReduction, format)
-              .mflops();
+      spec.format = format;
+      const double mflops = engine.run(e.matrix, spec).mflops();
       row.push_back(Table::num(mflops, 0));
       if (mflops > best) {
         best = mflops;

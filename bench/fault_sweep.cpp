@@ -112,17 +112,17 @@ int main() {
   // --- Part 2: what the deaths cost on the Section-V machine model. ---
   {
     const sim::Engine engine;
-    const auto healthy = engine.run(m, kUes, chip::MappingPolicy::kDistanceReduction);
+    const sim::RunSpec spec{.ue_count = kUes, .policy = chip::MappingPolicy::kDistanceReduction};
+    const auto healthy = engine.run(m, spec);
     Table t("timing model, " + std::to_string(kUes) + " UEs, dead ranks repartitioned");
     t.set_header(
         {"dead UEs", "GFLOPS", "vs healthy", "recovery ms", "reshipped KB"});
     t.add_row({"0", Table::num(healthy.gflops, 4), "100.0%", Table::num(0.0, 3),
                Table::num(0.0, 1)});
     for (int dead = 1; dead <= 4; ++dead) {
-      std::vector<int> dead_ranks;
-      for (int k = 0; k < dead; ++k) dead_ranks.push_back(2 * k + 1);
-      const auto d = engine.run_degraded(m, kUes, chip::MappingPolicy::kDistanceReduction,
-                                         dead_ranks);
+      sim::RunSpec degraded = spec;
+      for (int k = 0; k < dead; ++k) degraded.dead_ranks.push_back(2 * k + 1);
+      const auto d = engine.run(m, degraded);
       t.add_row({Table::integer(dead), Table::num(d.gflops, 4),
                  Table::num(100.0 * d.gflops / healthy.gflops, 1) + "%",
                  Table::num(d.recovery_seconds * 1e3, 3),

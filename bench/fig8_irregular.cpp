@@ -25,14 +25,11 @@ int main() {
   for (const auto& e : suite) {
     std::vector<std::string> row = {Table::integer(e.id), e.name, e.family};
     for (std::size_t c = 0; c < core_counts.size(); ++c) {
-      const double base = engine.run(e.matrix, core_counts[c],
-                                     chip::MappingPolicy::kDistanceReduction,
-                                     sim::SpmvVariant::kCsr)
-                              .seconds;
-      const double noxm = engine.run(e.matrix, core_counts[c],
-                                     chip::MappingPolicy::kDistanceReduction,
-                                     sim::SpmvVariant::kCsrNoXMiss)
-                              .seconds;
+      sim::RunSpec spec{.ue_count = core_counts[c],
+                        .policy = chip::MappingPolicy::kDistanceReduction};
+      const double base = engine.run(e.matrix, spec).seconds;
+      spec.variant = sim::SpmvVariant::kCsrNoXMiss;
+      const double noxm = engine.run(e.matrix, spec).seconds;
       const double speedup = base / noxm;
       speedups_by_count[c].push_back(speedup);
       row.push_back(Table::num(speedup, 2));

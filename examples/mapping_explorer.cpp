@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
 
   for (auto policy : {chip::MappingPolicy::kStandard, chip::MappingPolicy::kDistanceReduction}) {
     const auto cores = chip::map_ues_to_cores(policy, ues);
-    const auto result = engine.run_on_cores(a, cores);
+    const auto result = engine.run(a, {.cores = cores});
 
     Table table(chip::to_string(policy) + std::string(" mapping"));
     table.set_header({"rank", "core", "tile(x,y)", "MC", "hops", "compute ms", "stall ms",

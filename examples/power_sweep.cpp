@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   };
   std::vector<Point> points;
   const chip::PowerModel power;
+  const sim::RunSpec spec{.ue_count = ues, .policy = chip::MappingPolicy::kDistanceReduction};
   for (int core : core_choices) {
     for (int mesh : mesh_choices) {
       for (int memory : memory_choices) {
@@ -45,9 +46,7 @@ int main(int argc, char** argv) {
         p.freq = chip::FrequencyConfig(core, mesh, memory);
         sim::EngineConfig cfg;
         cfg.freq = p.freq;
-        p.mflops = sim::Engine(cfg)
-                       .run(entry.matrix, ues, chip::MappingPolicy::kDistanceReduction)
-                       .mflops();
+        p.mflops = sim::Engine(cfg).run(entry.matrix, spec).mflops();
         p.watts = power.chip_watts(p.freq, ues);
         p.efficiency = p.mflops / p.watts;
         points.push_back(p);

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   Table table("simulated SCC (conf0), y = A*x");
   table.set_header({"mapping", "cores", "time (ms)", "MFLOPS/s", "bound by"});
   for (auto policy : {chip::MappingPolicy::kStandard, chip::MappingPolicy::kDistanceReduction}) {
-    const auto r = engine.run(a, cores, policy);
+    const auto r = engine.run(a, {.ue_count = cores, .policy = policy});
     table.add_row({chip::to_string(policy), Table::integer(cores),
                    Table::num(r.seconds * 1e3, 3), Table::num(r.mflops(), 1),
                    r.bandwidth_bound ? "memory bandwidth" : "slowest core"});

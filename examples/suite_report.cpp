@@ -120,7 +120,8 @@ int main(int argc, char** argv) {
   Table perf("simulated SCC performance (conf0, distance-reduction)");
   perf.set_header({"cores", "time (ms)", "MFLOPS", "bound by", "mesh hot link (MB)"});
   for (int c : cores) {
-    const auto r = engine.run(a, c, chip::MappingPolicy::kDistanceReduction);
+    const auto r =
+        engine.run(a, {.ue_count = c, .policy = chip::MappingPolicy::kDistanceReduction});
     perf.add_row({Table::integer(c), Table::num(r.seconds * 1e3, 3), Table::num(r.mflops(), 1),
                   r.bandwidth_bound ? "bandwidth" : "latency/compute",
                   Table::num(static_cast<double>(r.mesh.max_link_bytes) / 1048576.0, 2)});

@@ -1,6 +1,8 @@
 #include "common/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstddef>
+#include <system_error>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -42,16 +44,36 @@ std::string CliArgs::get_or(const std::string& key, const std::string& fallback)
   return get(key).value_or(fallback);
 }
 
+namespace {
+
+/// Parses all of `text` as a T; throws naming `--key` when it is empty, out
+/// of range or has a tail (`20x`).
+template <typename T>
+T parse_whole(const std::string& key, const std::string& text, const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  SCC_REQUIRE(ec == std::errc() && ptr == end,
+              "--" << key << " expects " << expected << ", got '" << text << "'");
+  return value;
+}
+
+}  // namespace
+
 long long CliArgs::get_int_or(const std::string& key, long long fallback) const {
   const auto value = get(key);
-  if (!value) return fallback;
-  return std::strtoll(value->c_str(), nullptr, 10);
+  return value ? parse_whole<long long>(key, *value, "an integer") : fallback;
 }
 
 double CliArgs::get_double_or(const std::string& key, double fallback) const {
   const auto value = get(key);
-  if (!value) return fallback;
-  return std::strtod(value->c_str(), nullptr);
+  return value ? parse_whole<double>(key, *value, "a number") : fallback;
+}
+
+std::size_t CliArgs::get_size_or(const std::string& key, std::size_t fallback) const {
+  const long long value = get_int_or(key, static_cast<long long>(fallback));
+  SCC_REQUIRE(value >= 0, "--" << key << " must be non-negative, got " << value);
+  return static_cast<std::size_t>(value);
 }
 
 bool CliArgs::get_bool_or(const std::string& key, bool fallback) const {

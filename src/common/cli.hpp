@@ -9,6 +9,7 @@
 // `parse_output_options` so the commands agree on semantics.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -28,8 +29,11 @@ class CliArgs {
 
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, const std::string& fallback) const;
+  /// Numeric values must parse whole (`--requests=20x` is an error naming
+  /// the flag, never 20); get_size_or also rejects negatives.
   long long get_int_or(const std::string& key, long long fallback) const;
   double get_double_or(const std::string& key, double fallback) const;
+  std::size_t get_size_or(const std::string& key, std::size_t fallback) const;
   bool get_bool_or(const std::string& key, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <string_view>
 #include <utility>
 
@@ -62,22 +60,6 @@ MatrixPool::MatrixPool(double scale, const sim::RunCacheConfig& cache_config) : 
 }
 
 MatrixPool::MatrixPool(double scale, NoCacheTag) : scale_(scale) {}
-
-MatrixPool::MatrixPool(double scale, bool enable_run_cache)
-    : MatrixPool(enable_run_cache
-                     // Explicitly forward the *default* RunCacheConfig so the
-                     // legacy spelling gets the default shard count, never a
-                     // single-shard cache.
-                     ? MatrixPool(scale, sim::RunCacheConfig{})
-                     : without_run_cache(scale)) {
-  static std::once_flag deprecation_note_once;
-  std::call_once(deprecation_note_once, [] {
-    std::fputs(
-        "note: MatrixPool(scale, bool) is deprecated; use "
-        "MatrixPool(scale, RunCacheConfig) or MatrixPool::without_run_cache\n",
-        stderr);
-  });
-}
 
 MatrixPool MatrixPool::without_run_cache(double scale) {
   return MatrixPool(scale, NoCacheTag{});

@@ -39,10 +39,6 @@ class MatrixPool {
   /// memoization outright.
   explicit MatrixPool(double scale, const sim::RunCacheConfig& cache_config = {});
 
-  /// DEPRECATED boolean-trap overload (use the RunCacheConfig constructor,
-  /// or without_run_cache for the old `(scale, false)` spelling).
-  MatrixPool(double scale, bool enable_run_cache);
-
   /// Pool with engine-run memoization disabled.
   static MatrixPool without_run_cache(double scale);
 

@@ -44,7 +44,7 @@ AppCosts estimate_distributed_spmv(const Engine& engine, const sparse::CsrMatrix
                    static_cast<double>(matrix.cols()) * static_cast<double>(kValueBytes),
                    comm) *
       1e-9;
-  costs.product_seconds = engine.run_on_cores(matrix, cores).seconds;
+  costs.product_seconds = engine.run(matrix, {.cores = cores}).seconds;
   return costs;
 }
 

@@ -62,14 +62,6 @@ Engine::Engine(EngineConfig config) : config_(std::move(config)) {
               "mc_peak_fraction must be in (0,1]");
 }
 
-void Engine::attach_run_cache(RunCache* cache) {
-  // Non-owning adoption (aliasing constructor with no control block): the
-  // deprecated raw-pointer contract -- caller manages lifetime -- preserved
-  // on top of the owning handle.
-  run_cache_ = cache == nullptr ? nullptr
-                                : std::shared_ptr<RunCache>(std::shared_ptr<RunCache>(), cache);
-}
-
 double Engine::mc_bandwidth_bytes_per_second() const {
   // One DDR3 channel per controller: 8 bytes per memory clock at peak,
   // derated for scattered 32-byte line transactions.
@@ -167,82 +159,19 @@ RunResult Engine::run_uncached(const sparse::CsrMatrix& matrix, const RunSpec& s
 
 RunResult Engine::run_unverified(const sparse::CsrMatrix& matrix, const RunSpec& spec,
                                  const std::vector<int>& cores) const {
-  if (!spec.dead_ranks.empty()) {
-    // The degraded protocol re-ships CSR blocks of the original row
-    // numbering, so it composes with CSR only.
-    SCC_REQUIRE(spec.reorder == Reordering::kNone, "reordering cannot combine with dead_ranks");
-    SCC_REQUIRE(spec.format == StorageFormat::kCsr,
-                "dead_ranks supports the CSR format only");
-    SCC_REQUIRE(spec.forced_hops < 0, "dead_ranks cannot combine with forced_hops");
-    const DegradedRunResult degraded = run_degraded_impl(matrix, spec, cores);
-    RunResult result = degraded.result;
-    result.dead_count = degraded.dead_count;
-    result.reshipped_bytes = degraded.reshipped_bytes;
-    result.recovery_seconds = degraded.recovery_seconds;
-    result.seconds = degraded.seconds;
-    result.gflops = degraded.gflops;
-    return result;
-  }
+  if (!spec.dead_ranks.empty()) return run_degraded_impl(matrix, spec, cores);
   SCC_REQUIRE(spec.format == StorageFormat::kCsr || spec.variant == SpmvVariant::kCsr,
               "alternative storage formats have no no-x-miss variant");
   return run_generic(matrix, spec, cores);
 }
 
-RunResult Engine::run(const sparse::CsrMatrix& matrix, int ue_count, chip::MappingPolicy policy,
-                      SpmvVariant variant) const {
-  RunSpec spec;
-  spec.ue_count = ue_count;
-  spec.policy = policy;
-  spec.variant = variant;
-  return run(matrix, spec);
-}
-
-RunResult Engine::run_on_cores(const sparse::CsrMatrix& matrix, const std::vector<int>& cores,
-                               SpmvVariant variant) const {
-  // An empty RunSpec::cores means "map by policy"; for this wrapper an empty
-  // explicit core set has always been a contract violation.
-  SCC_REQUIRE(!cores.empty(), "run_on_cores requires at least one core");
-  RunSpec spec;
-  spec.cores = cores;
-  spec.variant = variant;
-  return run(matrix, spec);
-}
-
-RunResult Engine::run_single_core_at_hops(const sparse::CsrMatrix& matrix, int hops,
-                                          SpmvVariant variant) const {
-  SCC_REQUIRE(hops >= 0 && hops <= 3, "the default quadrant assignment has hop distances 0..3");
-  RunSpec spec;
-  spec.cores = {0};
-  spec.forced_hops = hops;
-  spec.variant = variant;
-  return run(matrix, spec);
-}
-
-RunResult Engine::run_format(const sparse::CsrMatrix& matrix, int ue_count,
-                             chip::MappingPolicy policy, StorageFormat format) const {
-  RunSpec spec;
-  spec.ue_count = ue_count;
-  spec.policy = policy;
-  spec.format = format;
-  return run(matrix, spec);
-}
-
-DegradedRunResult Engine::run_degraded(const sparse::CsrMatrix& matrix, int ue_count,
-                                       chip::MappingPolicy policy,
-                                       const std::vector<int>& dead_ranks,
-                                       double detection_seconds, SpmvVariant variant) const {
-  RunSpec spec;
-  spec.ue_count = ue_count;
-  spec.policy = policy;
-  spec.variant = variant;
-  spec.dead_ranks = dead_ranks;
-  spec.detection_seconds = detection_seconds;
-  return run_degraded_impl(matrix, spec, chip::map_ues_to_cores(policy, ue_count));
-}
-
-DegradedRunResult Engine::run_degraded_impl(const sparse::CsrMatrix& matrix,
-                                            const RunSpec& spec,
-                                            const std::vector<int>& cores) const {
+RunResult Engine::run_degraded_impl(const sparse::CsrMatrix& matrix, const RunSpec& spec,
+                                    const std::vector<int>& cores) const {
+  // The degraded protocol re-ships CSR blocks of the original row
+  // numbering, so it composes with CSR only.
+  SCC_REQUIRE(spec.reorder == Reordering::kNone, "reordering cannot combine with dead_ranks");
+  SCC_REQUIRE(spec.format == StorageFormat::kCsr, "dead_ranks supports the CSR format only");
+  SCC_REQUIRE(spec.forced_hops < 0, "dead_ranks cannot combine with forced_hops");
   SCC_REQUIRE(spec.detection_seconds >= 0.0, "detection_seconds must be non-negative");
   // Rank k runs on cores[k], so the rank space is the core table's size
   // (identical to spec.ue_count on the policy-mapped path).
@@ -261,12 +190,11 @@ DegradedRunResult Engine::run_degraded_impl(const sparse::CsrMatrix& matrix,
     if (!dead.contains(rank)) survivor_cores.push_back(cores[static_cast<std::size_t>(rank)]);
   }
 
-  DegradedRunResult degraded;
-  degraded.dead_count = static_cast<int>(dead.size());
   // The survivors redo the whole product over the re-balanced partition (the
   // paper's partitioner splits by nnz, so this equals a fresh run on the
   // surviving cores).
-  degraded.result = run_generic(matrix, spec, survivor_cores);
+  RunResult result = run_generic(matrix, spec, survivor_cores);
+  result.dead_count = static_cast<int>(dead.size());
 
   // Recovery cost: each dead block's CSR slice (rebased ptr + col + val) is
   // re-shipped from the matrix owner through the memory controllers, after
@@ -275,21 +203,21 @@ DegradedRunResult Engine::run_degraded_impl(const sparse::CsrMatrix& matrix,
   const auto blocks = sparse::partition_rows_balanced_nnz(matrix, ue_count);
   for (int rank : dead) {
     const sparse::RowBlock& b = blocks[static_cast<std::size_t>(rank)];
-    degraded.reshipped_bytes +=
+    result.reshipped_bytes +=
         static_cast<bytes_t>(b.row_count() + 1) * sizeof(nnz_t) +
         static_cast<bytes_t>(b.nnz) * (sizeof(index_t) + sizeof(real_t));
   }
-  degraded.recovery_seconds =
-      spec.detection_seconds * static_cast<double>(degraded.dead_count) +
-      static_cast<double>(degraded.reshipped_bytes) / mc_bandwidth_bytes_per_second();
-  degraded.seconds = degraded.result.seconds + degraded.recovery_seconds;
-  degraded.gflops = 2.0 * static_cast<double>(matrix.nnz()) / degraded.seconds / 1e9;
+  result.recovery_seconds =
+      spec.detection_seconds * static_cast<double>(result.dead_count) +
+      static_cast<double>(result.reshipped_bytes) / mc_bandwidth_bytes_per_second();
+  result.seconds += result.recovery_seconds;
+  result.gflops = 2.0 * static_cast<double>(matrix.nnz()) / result.seconds / 1e9;
   if (spec.recorder != nullptr) {
     spec.recorder->metrics().counter("engine.dead_ranks").add(
-        static_cast<std::uint64_t>(degraded.dead_count));
-    spec.recorder->metrics().counter("engine.reshipped_bytes").add(degraded.reshipped_bytes);
+        static_cast<std::uint64_t>(result.dead_count));
+    spec.recorder->metrics().counter("engine.reshipped_bytes").add(result.reshipped_bytes);
   }
-  return degraded;
+  return result;
 }
 
 std::string to_string(StorageFormat format) {

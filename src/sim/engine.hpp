@@ -47,25 +47,31 @@ std::string to_string(Reordering reorder);
 std::string to_string(SpmvVariant variant);
 
 /// Everything that parameterizes one simulated run, bundled so the engine
-/// has a single entry point. Core selection: `cores` (explicit rank->core
-/// table) when non-empty, otherwise `policy` applied to `ue_count`.
-/// `forced_hops >= 0` overrides every core's hop distance to memory (the
-/// Figure-3 experiment; mesh-link accounting is skipped because a forced
-/// hop count has no physical route). Non-empty `dead_ranks` switches to the
-/// degraded protocol of run_degraded; it composes with either core
-/// selection (rank k dies on `cores[k]` when an explicit table is given).
-/// `recorder`, when set, receives
-/// per-phase spans and metrics (see docs/OBSERVABILITY.md); it never
-/// affects the simulated numbers.
+/// has a single entry point. Every member has a default, so a call names
+/// only what it changes:
+///   engine.run(m, {.ue_count = 24, .policy = chip::MappingPolicy::kDistanceReduction});
+/// Core selection: `cores` (explicit rank->core table) when non-empty,
+/// otherwise `policy` applied to `ue_count`. `forced_hops >= 0` overrides
+/// every core's hop distance to memory (the Figure-3 experiment; mesh-link
+/// accounting is skipped because a forced hop count has no physical route).
+/// Non-empty `dead_ranks` switches to the degraded protocol: those UEs fail
+/// permanently, their nnz-balanced row blocks are repartitioned over the
+/// survivors, and the recovery pays one detection window per dead rank plus
+/// the re-shipping of the dead blocks' CSR data through the MCs. It composes
+/// with either core selection (rank k dies on `cores[k]` when an explicit
+/// table is given), needs at least one survivor, and rank 0 (the matrix
+/// owner) must not be dead. `recorder`, when set, receives per-phase spans
+/// and metrics (see docs/OBSERVABILITY.md); it never affects the simulated
+/// numbers.
 struct RunSpec {
   int ue_count = 1;
   chip::MappingPolicy policy = chip::MappingPolicy::kStandard;
-  std::vector<int> cores;
+  std::vector<int> cores{};
   StorageFormat format = StorageFormat::kCsr;
   Reordering reorder = Reordering::kNone;
   SpmvVariant variant = SpmvVariant::kCsr;
   int forced_hops = -1;
-  std::vector<int> dead_ranks;
+  std::vector<int> dead_ranks{};
   double detection_seconds = 0.001;  ///< watchdog window per dead rank
 
   /// ABFT verification of the product (docs/INTEGRITY.md). kDetect checks
@@ -76,7 +82,7 @@ struct RunSpec {
   integrity::VerifyMode verify = integrity::VerifyMode::kOff;
   /// Seeded SDC fault model: when non-empty, this product draws a possible
   /// bit flip at `sdc_site` (corruption is deterministic per (plan, site)).
-  integrity::SdcPlan sdc;
+  integrity::SdcPlan sdc{};
   /// Identifies this product within the SDC plan's stream -- serving layers
   /// pass (chip, job) coordinates so schedules replay per chip and job.
   std::uint64_t sdc_site = 0;
@@ -140,17 +146,6 @@ struct RunResult {
   double mflops() const { return gflops * 1000.0; }
 };
 
-/// Outcome of a degraded run: the survivors absorb the dead ranks' rows and
-/// pay a recovery cost for re-shipping the repartitioned CSR blocks.
-struct DegradedRunResult {
-  RunResult result;               ///< simulated run on the surviving cores
-  int dead_count = 0;             ///< UEs removed from the run
-  bytes_t reshipped_bytes = 0;    ///< CSR bytes of the repartitioned blocks
-  double recovery_seconds = 0.0;  ///< detection + re-distribution overhead
-  double seconds = 0.0;           ///< result.seconds + recovery_seconds
-  double gflops = 0.0;            ///< effective GFLOPS including recovery
-};
-
 class RunCache;
 
 class Engine {
@@ -159,8 +154,7 @@ class Engine {
 
   const EngineConfig& config() const { return config_; }
 
-  /// THE entry point: simulate y = A*x under `spec`. Every other run_*
-  /// signature is a thin wrapper kept for source compatibility.
+  /// The entry point: simulate y = A*x under `spec`.
   ///
   /// Performance (MODEL.md section 7): the per-rank trace replay fans out
   /// over a host thread pool sized by SCC_SIM_THREADS
@@ -181,48 +175,10 @@ class Engine {
   /// run key includes the engine configuration.
   void attach_run_cache(std::shared_ptr<RunCache> cache) { run_cache_ = std::move(cache); }
 
-  /// DEPRECATED wrapper (use the std::shared_ptr overload): attaches
-  /// `cache` non-owning; the caller must keep it alive past the last run.
-  void attach_run_cache(RunCache* cache);
-
   RunCache* run_cache() const { return run_cache_.get(); }
-
-  /// DEPRECATED wrapper (use run(matrix, RunSpec)): `ue_count` UEs mapped
-  /// by `policy`.
-  RunResult run(const sparse::CsrMatrix& matrix, int ue_count, chip::MappingPolicy policy,
-                SpmvVariant variant = SpmvVariant::kCsr) const;
-
-  /// DEPRECATED wrapper (use run(matrix, RunSpec) with `cores`): simulate
-  /// on an explicit core set (rank k on cores[k]).
-  RunResult run_on_cores(const sparse::CsrMatrix& matrix, const std::vector<int>& cores,
-                         SpmvVariant variant = SpmvVariant::kCsr) const;
-
-  /// DEPRECATED wrapper (use run(matrix, RunSpec) with `forced_hops`):
-  /// single-core run with a forced hop distance to memory -- the paper's
-  /// Figure 3 sweep over cores 0..3 hops from their controller.
-  RunResult run_single_core_at_hops(const sparse::CsrMatrix& matrix, int hops,
-                                    SpmvVariant variant = SpmvVariant::kCsr) const;
-
-  /// DEPRECATED wrapper (use run(matrix, RunSpec) with `format`): simulate
-  /// the same product with an alternative storage format (the kernel
-  /// structure and per-element costs change with the layout; the
-  /// partitioning stays the paper's row-wise nnz balance).
-  RunResult run_format(const sparse::CsrMatrix& matrix, int ue_count,
-                       chip::MappingPolicy policy, StorageFormat format) const;
 
   /// Sustainable bandwidth of one memory controller under this config.
   double mc_bandwidth_bytes_per_second() const;
-
-  /// DEPRECATED wrapper (use run(matrix, RunSpec) with `dead_ranks`).
-  /// Timing-model counterpart of the resilient RCCE SpMV: `dead_ranks` UEs
-  /// fail permanently, their nnz-balanced row blocks are repartitioned over
-  /// the survivors, and the recovery pays one watchdog detection window plus
-  /// the re-shipping of the dead blocks' CSR data through the MCs. Requires
-  /// at least one survivor; rank 0 (the matrix owner) must not be dead.
-  DegradedRunResult run_degraded(const sparse::CsrMatrix& matrix, int ue_count,
-                                 chip::MappingPolicy policy, const std::vector<int>& dead_ranks,
-                                 double detection_seconds = 0.001,
-                                 SpmvVariant variant = SpmvVariant::kCsr) const;
 
  private:
   RunResult run_uncached(const sparse::CsrMatrix& matrix, const RunSpec& spec,
@@ -231,8 +187,8 @@ class Engine {
   /// check and its pricing on top.
   RunResult run_unverified(const sparse::CsrMatrix& matrix, const RunSpec& spec,
                            const std::vector<int>& cores) const;
-  DegradedRunResult run_degraded_impl(const sparse::CsrMatrix& matrix, const RunSpec& spec,
-                                      const std::vector<int>& cores) const;
+  RunResult run_degraded_impl(const sparse::CsrMatrix& matrix, const RunSpec& spec,
+                              const std::vector<int>& cores) const;
   /// Replays and prices `matrix` under `spec`'s reorder, format, variant,
   /// forced hops and recorder on `cores`; the dead-rank and verification
   /// knobs are the callers' business.

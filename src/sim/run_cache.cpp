@@ -152,9 +152,6 @@ RunCache::RunCache(const RunCacheConfig& config)
   }
 }
 
-RunCache::RunCache(std::size_t capacity)
-    : RunCache(RunCacheConfig{capacity, 0, std::string(), 0}) {}
-
 RunCache::~RunCache() {
   if (persist_path_.empty()) return;
   try {

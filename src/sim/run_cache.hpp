@@ -127,7 +127,7 @@ struct RunCacheConfig {
   std::size_t shards = 0;
   /// Snapshot file: loaded on construction when it exists, rewritten on
   /// destruction. Empty disables persistence.
-  std::string persist_path;
+  std::string persist_path{};
   /// Byte cap on the snapshot file (0 = unlimited). When a save would
   /// exceed it, entries from the oldest generations are dropped first (a
   /// generation is one save epoch; hits refresh an entry's generation), so
@@ -138,7 +138,6 @@ struct RunCacheConfig {
 
 class RunCache {
  public:
-  static constexpr std::size_t kDefaultCapacity = 128;
   /// Snapshot format version; bumped whenever RunKey/RunResult layout or
   /// the file framing changes, so stale files are rejected, never misread.
   /// v2: RunKey covers RunSpec::reorder and every entry carries a
@@ -150,11 +149,7 @@ class RunCache {
   /// cache keeps up to 1,024 replays, about 300 bytes each.
   static constexpr std::size_t kReplaysPerEntry = 8;
 
-  explicit RunCache(const RunCacheConfig& config);
-
-  /// DEPRECATED wrapper (use RunCache(RunCacheConfig)): capacity-only
-  /// construction with automatic sharding, kept for source compatibility.
-  explicit RunCache(std::size_t capacity = kDefaultCapacity);
+  explicit RunCache(const RunCacheConfig& config = {});
 
   ~RunCache();
   RunCache(const RunCache&) = delete;

@@ -24,8 +24,8 @@ TEST(CrossEngine, ForcedZeroHopsEqualsCoreZero) {
   // reproduce a plain single-core run on core 0 exactly.
   sim::Engine engine;
   const auto m = gen::banded(20000, 10, 0.5, 1);
-  const auto forced = engine.run_single_core_at_hops(m, 0);
-  const auto natural = engine.run_on_cores(m, {0});
+  const auto forced = engine.run(m, {.cores = {0}, .forced_hops = 0});
+  const auto natural = engine.run(m, {.cores = {0}});
   EXPECT_DOUBLE_EQ(forced.seconds, natural.seconds);
 }
 
@@ -34,8 +34,8 @@ TEST(CrossEngine, RuntimeRatioBoundedByLatencyRatio) {
   // Equation-1 latency ratio (compute dilutes, never amplifies).
   sim::Engine engine;
   const auto m = gen::random_uniform(30000, 10, 2);
-  const double t0 = engine.run_single_core_at_hops(m, 0).seconds;
-  const double t3 = engine.run_single_core_at_hops(m, 3).seconds;
+  const double t0 = engine.run(m, {.cores = {0}, .forced_hops = 0}).seconds;
+  const double t3 = engine.run(m, {.cores = {0}, .forced_hops = 3}).seconds;
   const auto freq = chip::FrequencyConfig::conf0();
   const double lat_ratio = chip::memory_latency_ns(freq, 0, 3) /
                            chip::memory_latency_ns(freq, 0, 0);
@@ -47,7 +47,7 @@ TEST(CrossEngine, PerCoreNnzMatchesPartition) {
   sim::Engine engine;
   const auto m = gen::power_law(10000, 8, 1.2, 3);
   const auto blocks = sparse::partition_rows_balanced_nnz(m, 12);
-  const auto r = engine.run(m, 12, chip::MappingPolicy::kStandard);
+  const auto r = engine.run(m, {.ue_count = 12, .policy = chip::MappingPolicy::kStandard});
   ASSERT_EQ(r.cores.size(), 12u);
   for (std::size_t i = 0; i < 12; ++i) {
     EXPECT_EQ(r.cores[i].trace.nnz, blocks[i].nnz) << i;
@@ -58,7 +58,7 @@ TEST(CrossEngine, PerCoreNnzMatchesPartition) {
 TEST(CrossEngine, HopsFieldMatchesTopology) {
   sim::Engine engine;
   const auto m = gen::banded(5000, 5, 0.5, 4);
-  const auto r = engine.run(m, 48, chip::MappingPolicy::kStandard);
+  const auto r = engine.run(m, {.ue_count = 48, .policy = chip::MappingPolicy::kStandard});
   for (const auto& cr : r.cores) {
     EXPECT_EQ(cr.hops, chip::hops_to_memory(cr.core));
   }
@@ -87,7 +87,7 @@ TEST(CrossNoc, RouteStepsAreUnitXYMoves) {
 TEST(CrossNoc, EngineMeshTotalEqualsPerCoreHopWeightedBytes) {
   sim::Engine engine;
   const auto m = gen::random_uniform(20000, 8, 5);
-  const auto r = engine.run(m, 16, chip::MappingPolicy::kStandard);
+  const auto r = engine.run(m, {.ue_count = 16, .policy = chip::MappingPolicy::kStandard});
   bytes_t expected = 0;
   for (const auto& cr : r.cores) {
     expected += static_cast<bytes_t>(cr.hops) *
@@ -137,12 +137,10 @@ TEST(CrossLocality, LineReusePredictsNoXMissSpeedupDirection) {
   const auto local = gen::banded(20000, 8, 0.8, 7);
   const auto scattered = gen::random_uniform(20000, 8, 7);
   auto speedup = [&](const sparse::CsrMatrix& m) {
-    const double base =
-        engine.run(m, 8, chip::MappingPolicy::kDistanceReduction, sim::SpmvVariant::kCsr)
-            .seconds;
-    const double noxm = engine.run(m, 8, chip::MappingPolicy::kDistanceReduction,
-                                   sim::SpmvVariant::kCsrNoXMiss)
-                            .seconds;
+    sim::RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+    const double base = engine.run(m, spec).seconds;
+    spec.variant = sim::SpmvVariant::kCsrNoXMiss;
+    const double noxm = engine.run(m, spec).seconds;
     return base / noxm;
   };
   ASSERT_GT(sparse::x_line_reuse_fraction(local), sparse::x_line_reuse_fraction(scattered));
@@ -175,7 +173,7 @@ TEST(CrossArchcmp, SccSimulationLandsBetweenItaniumAndXeon) {
   sim::Engine engine;
   const auto m = gen::banded(40000, 20, 0.5, 8);  // a mid-size suite-like load
   const double scc =
-      engine.run(m, 48, chip::MappingPolicy::kDistanceReduction).gflops;
+      engine.run(m, {.ue_count = 48, .policy = chip::MappingPolicy::kDistanceReduction}).gflops;
   EXPECT_GT(scc, archcmp::predicted_spmv_gflops(archcmp::machine_by_name("Itanium2 Montvale")) *
                      0.5);
   EXPECT_LT(scc, archcmp::predicted_spmv_gflops(archcmp::machine_by_name("Xeon X5570")));

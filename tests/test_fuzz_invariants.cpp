@@ -181,10 +181,9 @@ TEST_P(EngineFuzz, RuntimePositiveAndClockMonotone) {
   slow.freq = chip::FrequencyConfig(400, 800, 800);
   sim::EngineConfig fast;
   fast.freq = chip::FrequencyConfig(800, 800, 800);
-  const double t_slow =
-      sim::Engine(slow).run(m, ues, chip::MappingPolicy::kDistanceReduction).seconds;
-  const double t_fast =
-      sim::Engine(fast).run(m, ues, chip::MappingPolicy::kDistanceReduction).seconds;
+  const sim::RunSpec spec{.ue_count = ues, .policy = chip::MappingPolicy::kDistanceReduction};
+  const double t_slow = sim::Engine(slow).run(m, spec).seconds;
+  const double t_fast = sim::Engine(fast).run(m, spec).seconds;
   EXPECT_GT(t_slow, 0.0);
   EXPECT_TRUE(std::isfinite(t_slow));
   EXPECT_LE(t_fast, t_slow);

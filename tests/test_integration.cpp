@@ -45,7 +45,7 @@ TEST_F(Integration, Fig3MechanismHopDegradationOnSuite) {
   for (int hops = 0; hops <= 3; ++hops) {
     std::vector<double> gflops;
     for (const auto& e : *suite_) {
-      gflops.push_back(engine.run_single_core_at_hops(e.matrix, hops).gflops);
+      gflops.push_back(engine.run(e.matrix, {.cores = {0}, .forced_hops = hops}).gflops);
     }
     perf_by_hops.push_back(mean(gflops));
   }
@@ -59,8 +59,10 @@ TEST_F(Integration, Fig5MechanismDistanceReductionWins) {
   // and mapping cannot matter, so use one full-size irregular matrix.
   sim::Engine engine;
   const auto m = gen::random_uniform(60000, 10, 99);
-  const double t_std = engine.run(m, 24, chip::MappingPolicy::kStandard).seconds;
-  const double t_dr = engine.run(m, 24, chip::MappingPolicy::kDistanceReduction).seconds;
+  const double t_std =
+      engine.run(m, {.ue_count = 24, .policy = chip::MappingPolicy::kStandard}).seconds;
+  const double t_dr =
+      engine.run(m, {.ue_count = 24, .policy = chip::MappingPolicy::kDistanceReduction}).seconds;
   EXPECT_GT(t_std / t_dr, 1.0);
 }
 
@@ -71,12 +73,12 @@ TEST_F(Integration, Fig7MechanismL2MattersMoreWithMoreCores) {
   sim::Engine e_with(with);
   sim::Engine e_without(without);
   auto ratio_at = [&](int cores) {
+    const sim::RunSpec spec{.ue_count = cores,
+                            .policy = chip::MappingPolicy::kDistanceReduction};
     std::vector<double> ratios;
     for (const auto& e : *suite_) {
-      const double a = e_with.run(e.matrix, cores, chip::MappingPolicy::kDistanceReduction)
-                           .gflops;
-      const double b =
-          e_without.run(e.matrix, cores, chip::MappingPolicy::kDistanceReduction).gflops;
+      const double a = e_with.run(e.matrix, spec).gflops;
+      const double b = e_without.run(e.matrix, spec).gflops;
       ratios.push_back(b / a);
     }
     return mean(ratios);
@@ -92,12 +94,10 @@ TEST_F(Integration, Fig8MechanismIrregularMatricesGainMost) {
   const auto& irregular = (*suite_)[13];
   const auto& regular = (*suite_)[28];
   auto speedup = [&](const testbed::SuiteEntry& e) {
-    const double base = engine.run(e.matrix, 8, chip::MappingPolicy::kDistanceReduction,
-                                   sim::SpmvVariant::kCsr)
-                            .seconds;
-    const double noxm = engine.run(e.matrix, 8, chip::MappingPolicy::kDistanceReduction,
-                                   sim::SpmvVariant::kCsrNoXMiss)
-                            .seconds;
+    sim::RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+    const double base = engine.run(e.matrix, spec).seconds;
+    spec.variant = sim::SpmvVariant::kCsrNoXMiss;
+    const double noxm = engine.run(e.matrix, spec).seconds;
     return base / noxm;
   };
   EXPECT_GT(speedup(irregular), speedup(regular));
@@ -111,9 +111,10 @@ TEST_F(Integration, Fig9MechanismConf1FastestAndMostEfficient) {
   // Full-size irregular matrix: the tiny suite scale is fully cached and
   // the memory-clock distinction between conf1 and conf2 would vanish.
   const auto m = gen::random_uniform(60000, 10, 98);
-  const double g0 = sim::Engine(c0).run(m, 8, chip::MappingPolicy::kDistanceReduction).gflops;
-  const double g1 = sim::Engine(c1).run(m, 8, chip::MappingPolicy::kDistanceReduction).gflops;
-  const double g2 = sim::Engine(c2).run(m, 8, chip::MappingPolicy::kDistanceReduction).gflops;
+  const sim::RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+  const double g0 = sim::Engine(c0).run(m, spec).gflops;
+  const double g1 = sim::Engine(c1).run(m, spec).gflops;
+  const double g2 = sim::Engine(c2).run(m, spec).gflops;
   EXPECT_GT(g1, g2);
   EXPECT_GT(g2, g0);
 
@@ -139,7 +140,8 @@ TEST_F(Integration, RcceSpmvAgreesWithSimPartitioning) {
 TEST_F(Integration, EngineHandlesEverySuiteMatrix) {
   sim::Engine engine;
   for (const auto& e : *suite_) {
-    const auto r = engine.run(e.matrix, 4, chip::MappingPolicy::kDistanceReduction);
+    const auto r =
+        engine.run(e.matrix, {.ue_count = 4, .policy = chip::MappingPolicy::kDistanceReduction});
     EXPECT_GT(r.gflops, 0.0) << e.name;
   }
 }

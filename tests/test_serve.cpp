@@ -549,13 +549,6 @@ TEST(ServeScheduler, PreferredCoresOverrideRoundsUpTheLadderUnderMatrixAware) {
   EXPECT_EQ(fifo.try_allocate(tiny, 5).size(), 48u);
 }
 
-TEST(ServeMatrixPool, DeprecatedBoolOverloadStillForwards) {
-  const MatrixPool with_cache(kTestScale, true);
-  EXPECT_NE(with_cache.run_cache(), nullptr);
-  const MatrixPool without(kTestScale, false);
-  EXPECT_EQ(without.run_cache(), nullptr);
-}
-
 TEST(ServeMatrixPool, TuningCacheIsLazyAndShared) {
   MatrixPool pool(kTestScale);
   tune::TuningCacheConfig config;
@@ -713,6 +706,7 @@ TEST(ServeIntegrity, ClassificationReplaysAcrossThreadsAndRunCache) {
     setenv("SCC_SIM_THREADS", std::to_string(threads).c_str(), 1);
     MatrixPool pool = run_cache ? MatrixPool(kTestScale)
                                 : MatrixPool::without_run_cache(kTestScale);
+    EXPECT_EQ(pool.run_cache() != nullptr, run_cache);
     Simulator simulator(config, pool);
     const auto result = simulator.run(requests);
     unsetenv("SCC_SIM_THREADS");

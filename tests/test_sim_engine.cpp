@@ -26,7 +26,8 @@ TEST(Engine, ConfigValidation) {
 TEST(Engine, RunProducesPositivePerformance) {
   Engine engine;
   const auto m = small_banded();
-  const RunResult r = engine.run(m, 4, chip::MappingPolicy::kDistanceReduction);
+  const RunResult r =
+      engine.run(m, {.ue_count = 4, .policy = chip::MappingPolicy::kDistanceReduction});
   EXPECT_GT(r.seconds, 0.0);
   EXPECT_GT(r.gflops, 0.0);
   EXPECT_EQ(r.cores.size(), 4u);
@@ -35,25 +36,30 @@ TEST(Engine, RunProducesPositivePerformance) {
 TEST(Engine, GflopsDefinitionIsTwoNnzOverTime) {
   Engine engine;
   const auto m = small_banded();
-  const RunResult r = engine.run(m, 2, chip::MappingPolicy::kStandard);
+  const RunResult r = engine.run(m, {.ue_count = 2, .policy = chip::MappingPolicy::kStandard});
   EXPECT_NEAR(r.gflops, 2.0 * static_cast<double>(m.nnz()) / r.seconds / 1e9, 1e-12);
 }
 
 TEST(Engine, Deterministic) {
   Engine engine;
   const auto m = big_irregular();
-  const RunResult a = engine.run(m, 8, chip::MappingPolicy::kDistanceReduction);
-  const RunResult b = engine.run(m, 8, chip::MappingPolicy::kDistanceReduction);
+  const RunResult a =
+      engine.run(m, {.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction});
+  const RunResult b =
+      engine.run(m, {.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction});
   EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
 }
 
 TEST(Engine, MoreCoresFasterOnLargeMatrix) {
   Engine engine;
   const auto m = big_banded();
-  double prev = engine.run(m, 1, chip::MappingPolicy::kDistanceReduction).seconds;
-  for (int cores : {2, 4, 8}) {
-    const double cur = engine.run(m, cores, chip::MappingPolicy::kDistanceReduction).seconds;
-    EXPECT_LT(cur, prev) << cores << " cores";
+  double prev =
+      engine.run(m, {.ue_count = 1, .policy = chip::MappingPolicy::kDistanceReduction}).seconds;
+  for (int ues : {2, 4, 8}) {
+    const double cur =
+        engine.run(m, {.ue_count = ues, .policy = chip::MappingPolicy::kDistanceReduction})
+            .seconds;
+    EXPECT_LT(cur, prev) << ues << " cores";
     prev = cur;
   }
 }
@@ -62,9 +68,9 @@ TEST(Engine, HopDistanceDegradesSingleCorePerformance) {
   // Fig 3 mechanism: identical work, farther memory -> slower.
   Engine engine;
   const auto m = big_banded();
-  double prev = engine.run_single_core_at_hops(m, 0).seconds;
+  double prev = engine.run(m, {.cores = {0}, .forced_hops = 0}).seconds;
   for (int hops : {1, 2, 3}) {
-    const double cur = engine.run_single_core_at_hops(m, hops).seconds;
+    const double cur = engine.run(m, {.cores = {0}, .forced_hops = hops}).seconds;
     EXPECT_GT(cur, prev) << hops << " hops";
     prev = cur;
   }
@@ -74,34 +80,21 @@ TEST(Engine, ThreeHopDegradationInPaperBallpark) {
   // The paper reports ~12% single-core degradation at 3 hops (suite mean).
   Engine engine;
   const auto m = big_banded();
-  const double t0 = engine.run_single_core_at_hops(m, 0).seconds;
-  const double t3 = engine.run_single_core_at_hops(m, 3).seconds;
+  const double t0 = engine.run(m, {.cores = {0}, .forced_hops = 0}).seconds;
+  const double t3 = engine.run(m, {.cores = {0}, .forced_hops = 3}).seconds;
   const double degradation = t3 / t0 - 1.0;
   EXPECT_GT(degradation, 0.03);
   EXPECT_LT(degradation, 0.25);
 }
 
-TEST(Engine, RejectsBadHops) {
-  Engine engine;
-  const auto m = small_banded();
-  EXPECT_THROW(engine.run_single_core_at_hops(m, 4), std::invalid_argument);
-  EXPECT_THROW(engine.run_single_core_at_hops(m, -1), std::invalid_argument);
-}
-
 TEST(Engine, MappingPolicyMattersAtHighCoreCounts) {
   Engine engine;
   const auto m = big_irregular();
-  const RunResult std_run = engine.run(m, 24, chip::MappingPolicy::kStandard);
-  const RunResult dr_run = engine.run(m, 24, chip::MappingPolicy::kDistanceReduction);
+  const RunResult std_run =
+      engine.run(m, {.ue_count = 24, .policy = chip::MappingPolicy::kStandard});
+  const RunResult dr_run =
+      engine.run(m, {.ue_count = 24, .policy = chip::MappingPolicy::kDistanceReduction});
   EXPECT_LT(dr_run.seconds, std_run.seconds);
-}
-
-TEST(Engine, RunOnCoresValidatesInput) {
-  Engine engine;
-  const auto m = small_banded();
-  EXPECT_THROW(engine.run_on_cores(m, {}), std::invalid_argument);
-  EXPECT_THROW(engine.run_on_cores(m, {0, 0}), std::invalid_argument);
-  EXPECT_THROW(engine.run_on_cores(m, {48}), std::invalid_argument);
 }
 
 TEST(Engine, FasterFrequenciesImprovePerformance) {
@@ -110,8 +103,9 @@ TEST(Engine, FasterFrequenciesImprovePerformance) {
   cfg0.freq = chip::FrequencyConfig::conf0();
   EngineConfig cfg1;
   cfg1.freq = chip::FrequencyConfig::conf1();
-  const double t0 = Engine(cfg0).run(m, 8, chip::MappingPolicy::kDistanceReduction).seconds;
-  const double t1 = Engine(cfg1).run(m, 8, chip::MappingPolicy::kDistanceReduction).seconds;
+  const RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+  const double t0 = Engine(cfg0).run(m, spec).seconds;
+  const double t1 = Engine(cfg1).run(m, spec).seconds;
   EXPECT_LT(t1, t0);
 }
 
@@ -121,8 +115,9 @@ TEST(Engine, MemoryClockAloneImprovesMemoryBoundRun) {
   cfg2.freq = chip::FrequencyConfig::conf2();
   EngineConfig cfg1;
   cfg1.freq = chip::FrequencyConfig::conf1();
-  const double t2 = Engine(cfg2).run(m, 8, chip::MappingPolicy::kDistanceReduction).seconds;
-  const double t1 = Engine(cfg1).run(m, 8, chip::MappingPolicy::kDistanceReduction).seconds;
+  const RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+  const double t2 = Engine(cfg2).run(m, spec).seconds;
+  const double t1 = Engine(cfg1).run(m, spec).seconds;
   EXPECT_LT(t1, t2);
 }
 
@@ -133,20 +128,19 @@ TEST(Engine, DisablingL2HurtsPerformance) {
   EngineConfig with;
   EngineConfig without;
   without.hierarchy.l2_enabled = false;
-  const double t_with = Engine(with).run(m, 8, chip::MappingPolicy::kDistanceReduction).seconds;
-  const double t_without =
-      Engine(without).run(m, 8, chip::MappingPolicy::kDistanceReduction).seconds;
+  const RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+  const double t_with = Engine(with).run(m, spec).seconds;
+  const double t_without = Engine(without).run(m, spec).seconds;
   EXPECT_GT(t_without, t_with);
 }
 
 TEST(Engine, NoXMissVariantFasterOnIrregularMatrix) {
   Engine engine;
   const auto m = big_irregular();
-  const double base =
-      engine.run(m, 8, chip::MappingPolicy::kDistanceReduction, SpmvVariant::kCsr).seconds;
-  const double noxm =
-      engine.run(m, 8, chip::MappingPolicy::kDistanceReduction, SpmvVariant::kCsrNoXMiss)
-          .seconds;
+  RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+  const double base = engine.run(m, spec).seconds;
+  spec.variant = SpmvVariant::kCsrNoXMiss;
+  const double noxm = engine.run(m, spec).seconds;
   EXPECT_LT(noxm, base);
   EXPECT_GT(base / noxm, 1.10);  // the paper's >10% speedup regime
 }
@@ -158,15 +152,16 @@ TEST(Engine, ContentionAblationSwitch) {
   without.memory.model_contention = false;
   // At 48 standard-mapped cores contention matters; without it runs faster
   // or equal, never slower.
-  const double t_with = Engine(with).run(m, 48, chip::MappingPolicy::kStandard).seconds;
-  const double t_without = Engine(without).run(m, 48, chip::MappingPolicy::kStandard).seconds;
+  const RunSpec spec{.ue_count = 48, .policy = chip::MappingPolicy::kStandard};
+  const double t_with = Engine(with).run(m, spec).seconds;
+  const double t_without = Engine(without).run(m, spec).seconds;
   EXPECT_LE(t_without, t_with);
 }
 
 TEST(Engine, McBytesOnlyOnUsedControllers) {
   Engine engine;
   const auto m = big_banded();
-  const RunResult r = engine.run_on_cores(m, {0, 1});  // both on MC 0
+  const RunResult r = engine.run(m, {.cores = {0, 1}});  // both on MC 0
   EXPECT_GT(r.mc_bytes[0], 0u);
   EXPECT_EQ(r.mc_bytes[1], 0u);
   EXPECT_EQ(r.mc_bytes[2], 0u);
@@ -176,7 +171,8 @@ TEST(Engine, McBytesOnlyOnUsedControllers) {
 TEST(Engine, CoreResultsAccountComponents) {
   Engine engine;
   const auto m = big_banded();
-  const RunResult r = engine.run(m, 4, chip::MappingPolicy::kDistanceReduction);
+  const RunResult r =
+      engine.run(m, {.ue_count = 4, .policy = chip::MappingPolicy::kDistanceReduction});
   for (const CoreResult& cr : r.cores) {
     EXPECT_NEAR(cr.isolated_seconds,
                 cr.compute_seconds + cr.l2_hit_seconds + cr.stall_seconds + cr.tlb_seconds,
@@ -188,7 +184,7 @@ TEST(Engine, CoreResultsAccountComponents) {
 TEST(Engine, BandwidthBoundFlagConsistent) {
   Engine engine;
   const auto m = big_irregular();
-  const RunResult r = engine.run(m, 48, chip::MappingPolicy::kStandard);
+  const RunResult r = engine.run(m, {.ue_count = 48, .policy = chip::MappingPolicy::kStandard});
   double slowest_core = 0.0;
   for (const auto& cr : r.cores) slowest_core = std::max(slowest_core, cr.isolated_seconds);
   double slowest_mc = 0.0;
@@ -206,9 +202,9 @@ TEST(Engine, TlbModelPenalizesScatteredAccesses) {
   EngineConfig with;
   EngineConfig without;
   without.memory.model_tlb = false;
-  const double t_with = Engine(with).run(m, 8, chip::MappingPolicy::kDistanceReduction).seconds;
-  const double t_without =
-      Engine(without).run(m, 8, chip::MappingPolicy::kDistanceReduction).seconds;
+  const RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+  const double t_with = Engine(with).run(m, spec).seconds;
+  const double t_without = Engine(without).run(m, spec).seconds;
   EXPECT_GT(t_with, t_without * 1.05);
 }
 
@@ -219,18 +215,19 @@ TEST(Engine, TlbIrrelevantForSmallFootprints) {
   EngineConfig with;
   EngineConfig without;
   without.memory.model_tlb = false;
-  const double t_with = Engine(with).run(m, 2, chip::MappingPolicy::kStandard).seconds;
-  const double t_without = Engine(without).run(m, 2, chip::MappingPolicy::kStandard).seconds;
+  const RunSpec spec{.ue_count = 2, .policy = chip::MappingPolicy::kStandard};
+  const double t_with = Engine(with).run(m, spec).seconds;
+  const double t_without = Engine(without).run(m, spec).seconds;
   EXPECT_NEAR(t_with, t_without, t_without * 0.02);
 }
 
 TEST(Engine, NoXMissAvoidsTlbPenalty) {
   const auto m = gen::random_uniform(60000, 10, 7);
   Engine engine;
-  const auto base = engine.run(m, 8, chip::MappingPolicy::kDistanceReduction,
-                               SpmvVariant::kCsr);
-  const auto noxm = engine.run(m, 8, chip::MappingPolicy::kDistanceReduction,
-                               SpmvVariant::kCsrNoXMiss);
+  RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+  const auto base = engine.run(m, spec);
+  spec.variant = SpmvVariant::kCsrNoXMiss;
+  const auto noxm = engine.run(m, spec);
   std::uint64_t base_tlb = 0;
   std::uint64_t noxm_tlb = 0;
   for (const auto& cr : base.cores) base_tlb += cr.trace.tlb_misses;
@@ -241,7 +238,7 @@ TEST(Engine, NoXMissAvoidsTlbPenalty) {
 TEST(Engine, MeshTrafficAccountedOnParallelRuns) {
   Engine engine;
   const auto m = big_banded();
-  const RunResult r = engine.run(m, 8, chip::MappingPolicy::kStandard);
+  const RunResult r = engine.run(m, {.ue_count = 8, .policy = chip::MappingPolicy::kStandard});
   EXPECT_GT(r.mesh.total_link_bytes, 0u);
   EXPECT_GT(r.mesh.max_link_bytes, 0u);
   EXPECT_LE(r.mesh.max_link_bytes, r.mesh.total_link_bytes);
@@ -251,23 +248,27 @@ TEST(Engine, MeshTrafficZeroForMcAdjacentCores) {
   Engine engine;
   const auto m = big_banded();
   // Cores 0 and 1 sit on the MC tile: zero hops, so no link traffic at all.
-  const RunResult r = engine.run_on_cores(m, {0, 1});
+  const RunResult r = engine.run(m, {.cores = {0, 1}});
   EXPECT_EQ(r.mesh.total_link_bytes, 0u);
 }
 
 TEST(Engine, DistanceReductionReducesMeshTraffic) {
   Engine engine;
   const auto m = big_banded();
-  const RunResult std_run = engine.run(m, 16, chip::MappingPolicy::kStandard);
-  const RunResult dr_run = engine.run(m, 16, chip::MappingPolicy::kDistanceReduction);
+  const RunResult std_run =
+      engine.run(m, {.ue_count = 16, .policy = chip::MappingPolicy::kStandard});
+  const RunResult dr_run =
+      engine.run(m, {.ue_count = 16, .policy = chip::MappingPolicy::kDistanceReduction});
   EXPECT_LT(dr_run.mesh.total_link_bytes, std_run.mesh.total_link_bytes);
 }
 
 TEST(Engine, ContentionAwareNotSlowerThanStandard) {
   Engine engine;
   const auto m = big_irregular();
-  const double t_std = engine.run(m, 20, chip::MappingPolicy::kStandard).seconds;
-  const double t_ca = engine.run(m, 20, chip::MappingPolicy::kContentionAware).seconds;
+  const double t_std =
+      engine.run(m, {.ue_count = 20, .policy = chip::MappingPolicy::kStandard}).seconds;
+  const double t_ca =
+      engine.run(m, {.ue_count = 20, .policy = chip::MappingPolicy::kContentionAware}).seconds;
   EXPECT_LE(t_ca, t_std);
 }
 
@@ -276,8 +277,10 @@ TEST(Engine, SmallMatrixManyCoresSuperlinearBoost) {
   // disproportionate jump -- compare per-core efficiency at 2 vs 24 cores.
   Engine engine;
   const auto m = gen::banded(12000, 8, 0.8, 4);  // ws ~ 1.5 MB
-  const double t2 = engine.run(m, 2, chip::MappingPolicy::kDistanceReduction).seconds;
-  const double t24 = engine.run(m, 24, chip::MappingPolicy::kDistanceReduction).seconds;
+  const double t2 =
+      engine.run(m, {.ue_count = 2, .policy = chip::MappingPolicy::kDistanceReduction}).seconds;
+  const double t24 =
+      engine.run(m, {.ue_count = 24, .policy = chip::MappingPolicy::kDistanceReduction}).seconds;
   EXPECT_GT(t2 / t24, 12.0);  // better than linear scaling from 2 to 24
 }
 

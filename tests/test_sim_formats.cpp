@@ -106,21 +106,21 @@ TEST(FormatTraces, BlocksOutOfRangeRejected) {
 TEST(EngineFormats, CsrPassthroughMatchesRun) {
   const Engine engine;
   const auto m = gen::banded(5000, 10, 0.5, 6);
-  const double a =
-      engine.run(m, 8, chip::MappingPolicy::kDistanceReduction).seconds;
-  const double b =
-      engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction,
-                        StorageFormat::kCsr)
-          .seconds;
+  RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+  const double a = engine.run(m, spec).seconds;
+  spec.format = StorageFormat::kCsr;
+  const double b = engine.run(m, spec).seconds;
   EXPECT_DOUBLE_EQ(a, b);
 }
 
 TEST(EngineFormats, AllFormatsProducePositivePerformance) {
   const Engine engine;
   const auto m = gen::power_law(3000, 8, 1.2, 7);
+  RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
   for (auto format : {StorageFormat::kCsr, StorageFormat::kEll, StorageFormat::kBcsr2,
                       StorageFormat::kBcsr4, StorageFormat::kHyb}) {
-    const auto r = engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, format);
+    spec.format = format;
+    const auto r = engine.run(m, spec);
     EXPECT_GT(r.gflops, 0.0) << to_string(format);
   }
 }
@@ -128,24 +128,20 @@ TEST(EngineFormats, AllFormatsProducePositivePerformance) {
 TEST(EngineFormats, EllPenalizedOnSkewedRows) {
   const Engine engine;
   const auto m = gen::power_law(5000, 12, 0.9, 8);  // heavy-tailed rows
-  const double csr =
-      engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, StorageFormat::kCsr)
-          .gflops;
-  const double ell =
-      engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, StorageFormat::kEll)
-          .gflops;
+  RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+  const double csr = engine.run(m, spec).gflops;
+  spec.format = StorageFormat::kEll;
+  const double ell = engine.run(m, spec).gflops;
   EXPECT_LT(ell, csr);
 }
 
 TEST(EngineFormats, BcsrWinsOnPerfectBlocks) {
   const Engine engine;
   auto m = gen::fem_blocks(3000, 4, 0, 9);  // pure 4x4 blocks, ~192k nnz
-  const double csr =
-      engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, StorageFormat::kCsr)
-          .gflops;
-  const double bcsr =
-      engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, StorageFormat::kBcsr4)
-          .gflops;
+  RunSpec spec{.ue_count = 8, .policy = chip::MappingPolicy::kDistanceReduction};
+  const double csr = engine.run(m, spec).gflops;
+  spec.format = StorageFormat::kBcsr4;
+  const double bcsr = engine.run(m, spec).gflops;
   EXPECT_GT(bcsr, csr);
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -123,8 +124,8 @@ TEST(SimParallel, RunIsByteIdenticalForAnyThreadCount) {
 TEST(SimParallel, CacheHitMatchesAnyThreadCount) {
   const auto m = test_matrix();
   sim::Engine engine;
-  sim::RunCache cache;
-  engine.attach_run_cache(&cache);
+  const auto cache = std::make_shared<sim::RunCache>();
+  engine.attach_run_cache(cache);
   const sim::Engine plain;
   sim::RunSpec spec;
   spec.ue_count = 16;
@@ -136,7 +137,7 @@ TEST(SimParallel, CacheHitMatchesAnyThreadCount) {
   }
   const ThreadGuard guard(1);
   const sim::RunResult warm = engine.run(m, spec);  // hit
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache->hits(), 1u);
   // Serialize everything against the cache-less engine: the report embeds
   // live cache counters, and here only the simulated numbers are under test.
   const std::string truth = sim::run_report_json(plain, spec, plain.run(m, spec)).dump(2);

@@ -157,19 +157,19 @@ TEST(RunKey, CorruptedRunNeverServedFromCleanEntryEitherOrder) {
   other_site.sdc_site = 99;
 
   Engine engine;
-  RunCache cache;
-  engine.attach_run_cache(&cache);
+  const auto cache = std::make_shared<RunCache>();
+  engine.attach_run_cache(cache);
   const RunResult a = engine.run(m, clean);
   const RunResult b = engine.run(m, corrupted);
   const RunResult c = engine.run(m, other_site);
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache->misses(), 3u);
+  EXPECT_EQ(cache->hits(), 0u);
   EXPECT_EQ(a.outcome, integrity::Outcome::kClean);
   EXPECT_NE(b.outcome, integrity::Outcome::kClean);
   // Replays hit their own entries with identical classifications.
   EXPECT_EQ(engine.run(m, corrupted).outcome, b.outcome);
   EXPECT_EQ(engine.run(m, other_site).seconds, c.seconds);
-  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache->hits(), 2u);
 }
 
 TEST(RunKey, EngineConfigAndMatrixArePartOfTheKey) {
@@ -227,7 +227,7 @@ TEST(RunKey, VerifyOffKeyIsPinned) {
 }
 
 TEST(RunCache, LookupMissesThenHitsAndCounts) {
-  RunCache cache(4);
+  RunCache cache(RunCacheConfig{.capacity = 4});
   const RunKey key{1, 2};
   EXPECT_FALSE(cache.lookup(key).has_value());
   cache.insert(key, stub_result(0.5));
@@ -240,7 +240,7 @@ TEST(RunCache, LookupMissesThenHitsAndCounts) {
 }
 
 TEST(RunCache, EvictsLeastRecentlyUsedAndLookupRefreshesRecency) {
-  RunCache cache(2);
+  RunCache cache(RunCacheConfig{.capacity = 2});
   const RunKey k1{1, 0}, k2{2, 0}, k3{3, 0};
   cache.insert(k1, stub_result(1.0));
   cache.insert(k2, stub_result(2.0));
@@ -254,7 +254,7 @@ TEST(RunCache, EvictsLeastRecentlyUsedAndLookupRefreshesRecency) {
 }
 
 TEST(RunCache, CapacityBoundHoldsUnderManyInserts) {
-  RunCache cache(3);
+  RunCache cache(RunCacheConfig{.capacity = 3});
   for (std::uint64_t i = 0; i < 50; ++i) {
     cache.insert(RunKey{i, i}, stub_result(static_cast<double>(i + 1)));
     EXPECT_LE(cache.size(), 3u);
@@ -268,7 +268,7 @@ TEST(RunCache, CapacityBoundHoldsUnderManyInserts) {
 }
 
 TEST(RunCache, ReinsertRefreshesInsteadOfDuplicating) {
-  RunCache cache(2);
+  RunCache cache(RunCacheConfig{.capacity = 2});
   const RunKey key{7, 7};
   cache.insert(key, stub_result(1.0));
   cache.insert(key, stub_result(4.0));
@@ -276,13 +276,15 @@ TEST(RunCache, ReinsertRefreshesInsteadOfDuplicating) {
   EXPECT_EQ(cache.lookup(key)->seconds, 4.0);
 }
 
-TEST(RunCache, RejectsZeroCapacity) { EXPECT_THROW(RunCache cache(0), std::invalid_argument); }
+TEST(RunCache, RejectsZeroCapacity) {
+  EXPECT_THROW(RunCache cache(RunCacheConfig{.capacity = 0}), std::invalid_argument);
+}
 
 TEST(RunCache, EngineHitIsBitExactVersusColdRun) {
   const auto m = test_matrix();
   Engine cached;
-  RunCache cache;
-  cached.attach_run_cache(&cache);
+  const auto cache = std::make_shared<RunCache>();
+  cached.attach_run_cache(cache);
   const Engine plain;
 
   RunSpec spec;
@@ -292,8 +294,8 @@ TEST(RunCache, EngineHitIsBitExactVersusColdRun) {
   const RunResult cold = cached.run(m, spec);   // miss, fills the cache
   const RunResult warm = cached.run(m, spec);   // hit, deep copy
   const RunResult truth = plain.run(m, spec);   // never memoized
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache->hits(), 1u);
+  EXPECT_EQ(cache->misses(), 1u);
 
   const std::string cold_json = run_report_json(cached, spec, cold).dump(2);
   EXPECT_EQ(cold_json, run_report_json(cached, spec, warm).dump(2));
@@ -304,8 +306,8 @@ TEST(RunCache, EngineHitIsBitExactVersusColdRun) {
 TEST(RunCache, DegradedRunsMemoizeUnderTheirOwnKey) {
   const auto m = test_matrix();
   Engine engine;
-  RunCache cache;
-  engine.attach_run_cache(&cache);
+  const auto cache = std::make_shared<RunCache>();
+  engine.attach_run_cache(cache);
 
   RunSpec healthy;
   healthy.ue_count = 4;
@@ -314,10 +316,10 @@ TEST(RunCache, DegradedRunsMemoizeUnderTheirOwnKey) {
 
   const RunResult h = engine.run(m, healthy);
   const RunResult d = engine.run(m, degraded);
-  EXPECT_EQ(cache.misses(), 2u);  // distinct keys, no false sharing
+  EXPECT_EQ(cache->misses(), 2u);  // distinct keys, no false sharing
   EXPECT_NE(h.seconds, d.seconds);
   EXPECT_EQ(engine.run(m, degraded).seconds, d.seconds);
-  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache->hits(), 1u);
 }
 
 TEST(RunCache, DegradedRunNeverServedFromHealthyEntryEitherOrder) {
@@ -337,14 +339,14 @@ TEST(RunCache, DegradedRunNeverServedFromHealthyEntryEitherOrder) {
 
   for (const bool healthy_first : {true, false}) {
     Engine engine;
-    RunCache cache;
-    engine.attach_run_cache(&cache);
+    const auto cache = std::make_shared<RunCache>();
+    engine.attach_run_cache(cache);
     const RunResult first =
         engine.run(m, healthy_first ? healthy : degraded);
     const RunResult second =
         engine.run(m, healthy_first ? degraded : healthy);
-    EXPECT_EQ(cache.misses(), 2u) << "order healthy_first=" << healthy_first;
-    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache->misses(), 2u) << "order healthy_first=" << healthy_first;
+    EXPECT_EQ(cache->hits(), 0u);
     EXPECT_EQ((healthy_first ? first : second).seconds, healthy_truth.seconds);
     EXPECT_EQ((healthy_first ? second : first).seconds, degraded_truth.seconds);
   }
@@ -367,17 +369,17 @@ TEST(RunCache, ReorderedRunNeverServedFromUnreorderedEntryEitherOrder) {
 
   for (const bool plain_first : {true, false}) {
     Engine engine;
-    RunCache cache;
-    engine.attach_run_cache(&cache);
+    const auto cache = std::make_shared<RunCache>();
+    engine.attach_run_cache(cache);
     const RunResult first = engine.run(m, plain_first ? plain_spec : reordered);
     const RunResult second = engine.run(m, plain_first ? reordered : plain_spec);
-    EXPECT_EQ(cache.misses(), 2u) << "order plain_first=" << plain_first;
-    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache->misses(), 2u) << "order plain_first=" << plain_first;
+    EXPECT_EQ(cache->hits(), 0u);
     EXPECT_EQ((plain_first ? first : second).seconds, plain_truth.seconds);
     EXPECT_EQ((plain_first ? second : first).seconds, reordered_truth.seconds);
     // Replays hit their own entries bit-exactly.
     EXPECT_EQ(engine.run(m, reordered).seconds, reordered_truth.seconds);
-    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache->hits(), 1u);
   }
 }
 
@@ -391,25 +393,25 @@ TEST(RunCache, ColdAndSteadyStateEnginesShareACacheWithoutCollisions) {
   EngineConfig cold_config;
   cold_config.measure_steady_state = false;
 
-  RunCache cache;
+  const auto cache = std::make_shared<RunCache>();
   Engine warm(warm_config);
   Engine cold(cold_config);
-  warm.attach_run_cache(&cache);
-  cold.attach_run_cache(&cache);
+  warm.attach_run_cache(cache);
+  cold.attach_run_cache(cache);
 
   RunSpec spec;
   spec.ue_count = 6;
   const RunResult w = warm.run(m, spec);
   const RunResult c = cold.run(m, spec);
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache->misses(), 2u);
+  EXPECT_EQ(cache->hits(), 0u);
   // A cold first traversal is strictly slower than the steady-state window.
   EXPECT_GT(c.seconds, w.seconds);
   // Replays hit their own entries bit-exactly.
   EXPECT_EQ(warm.run(m, spec).seconds, w.seconds);
   EXPECT_EQ(cold.run(m, spec).seconds, c.seconds);
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache->hits(), 2u);
+  EXPECT_EQ(cache->misses(), 2u);
 }
 
 // ---- Sharding ----
@@ -566,16 +568,17 @@ TEST(RunCachePersist, SnapshotRoundTripsBitExactEngineResults) {
   const SnapshotFile file("scc_runcache_roundtrip.snapshot");
   ASSERT_TRUE(cache->save_snapshot(file.path));
 
-  RunCache restored(RunCacheConfig{8, 4, ""});  // different sharding on purpose
-  ASSERT_TRUE(restored.load_snapshot(file.path));
-  EXPECT_EQ(restored.size(), cache->size());
+  // Different sharding on purpose.
+  const auto restored = std::make_shared<RunCache>(RunCacheConfig{8, 4, ""});
+  ASSERT_TRUE(restored->load_snapshot(file.path));
+  EXPECT_EQ(restored->size(), cache->size());
 
   Engine replay;
-  replay.attach_run_cache(std::shared_ptr<RunCache>(std::shared_ptr<RunCache>(), &restored));
+  replay.attach_run_cache(restored);
   const RunResult warm = replay.run(m, spec);
   const RunResult warm_degraded = replay.run(m, degraded);
-  EXPECT_EQ(restored.hits(), 2u);
-  EXPECT_EQ(restored.misses(), 0u);
+  EXPECT_EQ(restored->hits(), 2u);
+  EXPECT_EQ(restored->misses(), 0u);
   // Bit-exact through serialization: the full report, not just the headline.
   EXPECT_EQ(run_report_json(replay, spec, warm).dump(2),
             run_report_json(replay, spec, truth).dump(2));
@@ -1070,15 +1073,15 @@ TEST(ReplayReuse, SnapshotsNeitherWriteNorNeedTheReplayTable) {
   ASSERT_TRUE(cache->save_snapshot(second.path));
   EXPECT_EQ(bytes_of(first.path), bytes_of(second.path));
 
-  RunCache restored(RunCacheConfig{8, 2, ""});
-  ASSERT_TRUE(restored.load_snapshot(first.path));
-  EXPECT_EQ(restored.stats().replay_size, 0u);
+  const auto restored = std::make_shared<RunCache>(RunCacheConfig{8, 2, ""});
+  ASSERT_TRUE(restored->load_snapshot(first.path));
+  EXPECT_EQ(restored->stats().replay_size, 0u);
   Engine replay;
-  replay.attach_run_cache(std::shared_ptr<RunCache>(std::shared_ptr<RunCache>(), &restored));
+  replay.attach_run_cache(restored);
   EXPECT_EQ(report_of(EngineConfig{}, spec, replay.run(m, spec)),
             report_of(EngineConfig{}, spec, truth));
-  EXPECT_EQ(restored.hits(), 1u);
-  EXPECT_EQ(restored.stats().replay_hits + restored.stats().replay_misses, 0u);
+  EXPECT_EQ(restored->hits(), 1u);
+  EXPECT_EQ(restored->stats().replay_hits + restored->stats().replay_misses, 0u);
 }
 
 TEST(ReplayReuse, ConcurrentEnginesOnDifferentCoreSetsShareOneTable) {

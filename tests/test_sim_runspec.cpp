@@ -1,136 +1,83 @@
-// The api_redesign contract: every deprecated Engine entry point must be a
-// pure wrapper over Engine::run(matrix, RunSpec) -- same code path, so the
-// results (and their serialized reports) are byte-identical.
+// The RunSpec contract: Engine::run(matrix, RunSpec) is the engine's one
+// entry point, so every knob's validation and accounting is pinned here.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "gen/generators.hpp"
 #include "obs/trace.hpp"
+#include "scc/mapping.hpp"
 #include "sim/engine.hpp"
-#include "sim/report.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/partition.hpp"
 
 namespace scc::sim {
 namespace {
 
 sparse::CsrMatrix test_matrix() { return gen::banded(800, 16, 0.5, 11); }
 
-// Byte-identical check: serialize both results against the same spec and
-// compare the JSON text verbatim.
-void expect_identical(const Engine& engine, const RunSpec& spec, const RunResult& legacy,
-                      const RunResult& unified) {
-  EXPECT_EQ(run_report_json(engine, spec, legacy).dump(2),
-            run_report_json(engine, spec, unified).dump(2));
-  EXPECT_EQ(legacy.seconds, unified.seconds);
-  EXPECT_EQ(legacy.gflops, unified.gflops);
-  EXPECT_EQ(legacy.bandwidth_bound, unified.bandwidth_bound);
-  ASSERT_EQ(legacy.cores.size(), unified.cores.size());
-  for (std::size_t i = 0; i < legacy.cores.size(); ++i) {
-    EXPECT_EQ(legacy.cores[i].core, unified.cores[i].core);
-    EXPECT_EQ(legacy.cores[i].isolated_seconds, unified.cores[i].isolated_seconds);
-  }
-  EXPECT_EQ(legacy.mesh.total_link_bytes, unified.mesh.total_link_bytes);
-}
-
-TEST(RunSpec, PolicyWrapperMatchesUnifiedRun) {
-  const auto m = test_matrix();
-  const Engine engine;
-  for (const auto variant : {SpmvVariant::kCsr, SpmvVariant::kCsrNoXMiss}) {
-    RunSpec spec;
-    spec.ue_count = 24;
-    spec.policy = chip::MappingPolicy::kDistanceReduction;
-    spec.variant = variant;
-    expect_identical(engine, spec,
-                     engine.run(m, 24, chip::MappingPolicy::kDistanceReduction, variant),
-                     engine.run(m, spec));
-  }
-}
-
-TEST(RunSpec, ExplicitCoresWrapperMatchesUnifiedRun) {
-  const auto m = test_matrix();
-  const Engine engine;
-  const std::vector<int> cores = {0, 5, 17, 40};
-  RunSpec spec;
-  spec.cores = cores;
-  expect_identical(engine, spec, engine.run_on_cores(m, cores), engine.run(m, spec));
-}
-
-TEST(RunSpec, ForcedHopsWrapperMatchesUnifiedRun) {
-  const auto m = test_matrix();
-  const Engine engine;
-  for (int hops = 0; hops <= 3; ++hops) {
-    RunSpec spec;
-    spec.cores = {0};
-    spec.forced_hops = hops;
-    expect_identical(engine, spec, engine.run_single_core_at_hops(m, hops),
-                     engine.run(m, spec));
-  }
-}
-
-TEST(RunSpec, FormatWrapperMatchesUnifiedRun) {
-  const auto m = test_matrix();
-  const Engine engine;
-  for (const auto format : {StorageFormat::kCsr, StorageFormat::kEll, StorageFormat::kBcsr2,
-                            StorageFormat::kBcsr4, StorageFormat::kHyb}) {
-    RunSpec spec;
-    spec.ue_count = 8;
-    spec.policy = chip::MappingPolicy::kDistanceReduction;
-    spec.format = format;
-    expect_identical(engine, spec,
-                     engine.run_format(m, 8, chip::MappingPolicy::kDistanceReduction, format),
-                     engine.run(m, spec));
-  }
-}
-
-TEST(RunSpec, DegradedWrapperMatchesUnifiedRun) {
+TEST(RunSpec, DegradedRunPricesSurvivorsPlusRecovery) {
   const auto m = test_matrix();
   const Engine engine;
   const std::vector<int> dead = {1, 3};
-  RunSpec spec;
-  spec.ue_count = 8;
-  spec.policy = chip::MappingPolicy::kDistanceReduction;
-  spec.dead_ranks = dead;
-  spec.detection_seconds = 0.002;
-  const DegradedRunResult legacy =
-      engine.run_degraded(m, 8, chip::MappingPolicy::kDistanceReduction, dead, 0.002);
-  const RunResult unified = engine.run(m, spec);
+  const RunSpec spec{.ue_count = 8,
+                     .policy = chip::MappingPolicy::kDistanceReduction,
+                     .dead_ranks = dead,
+                     .detection_seconds = 0.002};
+  const RunResult degraded = engine.run(m, spec);
 
-  // The unified result folds the degraded accounting into RunResult.
-  EXPECT_EQ(unified.dead_count, legacy.dead_count);
-  EXPECT_EQ(unified.reshipped_bytes, legacy.reshipped_bytes);
-  EXPECT_EQ(unified.recovery_seconds, legacy.recovery_seconds);
-  EXPECT_EQ(unified.seconds, legacy.seconds);
-  EXPECT_EQ(unified.gflops, legacy.gflops);
-  ASSERT_EQ(unified.cores.size(), legacy.result.cores.size());
-  for (std::size_t i = 0; i < unified.cores.size(); ++i) {
-    EXPECT_EQ(unified.cores[i].core, legacy.result.cores[i].core);
-    EXPECT_EQ(unified.cores[i].isolated_seconds, legacy.result.cores[i].isolated_seconds);
+  // The survivors redo the whole product: a healthy run on their cores.
+  const std::vector<int> cores = chip::map_ues_to_cores(spec.policy, spec.ue_count);
+  std::vector<int> survivor_cores;
+  for (std::size_t rank = 0; rank < cores.size(); ++rank) {
+    if (rank != 1 && rank != 3) survivor_cores.push_back(cores[rank]);
   }
+  const RunResult survivors = engine.run(m, {.cores = survivor_cores});
+  ASSERT_EQ(degraded.cores.size(), survivor_cores.size());
+  for (std::size_t i = 0; i < degraded.cores.size(); ++i) {
+    const CoreResult& got = degraded.cores[i];
+    const CoreResult& want = survivors.cores[i];
+    EXPECT_EQ(got.core, survivor_cores[i]);
+    EXPECT_EQ(got.core, want.core);
+    EXPECT_EQ(got.hops, want.hops);
+    EXPECT_EQ(got.trace.memory_accesses, want.trace.memory_accesses);
+    EXPECT_EQ(got.trace.l2_hit_accesses, want.trace.l2_hit_accesses);
+    EXPECT_EQ(got.trace.tlb_misses, want.trace.tlb_misses);
+    EXPECT_EQ(got.trace.nnz, want.trace.nnz);
+    EXPECT_EQ(got.isolated_seconds, want.isolated_seconds);
+  }
+
+  // Recovery re-ships the dead ranks' CSR slices of the 8-way partition
+  // (rebased ptr + col + val) after one detection window per dead rank.
+  const auto blocks = sparse::partition_rows_balanced_nnz(m, spec.ue_count);
+  bytes_t reshipped = 0;
+  for (const int rank : dead) {
+    const sparse::RowBlock& b = blocks[static_cast<std::size_t>(rank)];
+    reshipped += static_cast<bytes_t>(b.row_count() + 1) * sizeof(nnz_t) +
+                 static_cast<bytes_t>(b.nnz) * (sizeof(index_t) + sizeof(real_t));
+  }
+  EXPECT_EQ(degraded.dead_count, 2);
+  EXPECT_EQ(degraded.reshipped_bytes, reshipped);
+  EXPECT_EQ(degraded.recovery_seconds,
+            spec.detection_seconds * 2.0 +
+                static_cast<double>(reshipped) / engine.mc_bandwidth_bytes_per_second());
+  EXPECT_EQ(degraded.seconds, survivors.seconds + degraded.recovery_seconds);
+  EXPECT_EQ(degraded.gflops, 2.0 * static_cast<double>(m.nnz()) / degraded.seconds / 1e9);
 }
 
 TEST(RunSpec, InvalidSpecsAreRejected) {
   const auto m = test_matrix();
   const Engine engine;
-  {
-    RunSpec spec;
-    spec.forced_hops = 4;  // mesh diameter caps forced hops at 3
-    spec.cores = {0};
-    EXPECT_THROW(engine.run(m, spec), std::invalid_argument);
-  }
-  {
-    RunSpec spec;
-    spec.dead_ranks = {0};  // rank 0 owns the matrix and must survive
-    spec.ue_count = 4;
-    EXPECT_THROW(engine.run(m, spec), std::invalid_argument);
-  }
-  {
-    RunSpec spec;
-    spec.dead_ranks = {1};
-    spec.ue_count = 4;
-    spec.format = StorageFormat::kEll;  // degraded path models CSR only
-    EXPECT_THROW(engine.run(m, spec), std::invalid_argument);
-  }
+  // The mesh diameter caps forced hops at 3.
+  EXPECT_THROW(engine.run(m, {.cores = {0}, .forced_hops = 4}), std::invalid_argument);
+  // An explicit core table must not repeat a core or leave the chip.
+  EXPECT_THROW(engine.run(m, {.cores = {0, 0}}), std::invalid_argument);
+  EXPECT_THROW(engine.run(m, {.cores = {48}}), std::invalid_argument);
+  // Rank 0 owns the matrix and must survive.
+  EXPECT_THROW(engine.run(m, {.ue_count = 4, .dead_ranks = {0}}), std::invalid_argument);
+  // The degraded path models CSR only.
+  EXPECT_THROW(engine.run(m, {.ue_count = 4, .format = StorageFormat::kEll, .dead_ranks = {1}}),
+               std::invalid_argument);
 }
 
 TEST(RunSpec, RecorderNeverChangesTheNumbers) {

@@ -309,6 +309,28 @@ TEST(CliServe, BadPolicyOrSeedRejected) {
   EXPECT_EQ(run_cli(make({"serve", "--seed=banana"}), out2, err2), 1);
 }
 
+TEST(CliServe, NumericFlagsMustParseWhole) {
+  const auto expect_error = [](std::vector<const char*> argv, const std::string& hint) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(make(argv), out, err), 1) << hint;
+    EXPECT_NE(err.str().find("error: " + hint), std::string::npos) << err.str();
+  };
+  expect_error({"serve", "--requests=20x"}, "--requests expects an integer, got '20x'");
+  expect_error({"serve", "--load=fast"}, "--load expects a number, got 'fast'");
+}
+
+TEST(CliServe, SizeFlagsRejectNegatives) {
+  for (const char* flag : {"run-cache-capacity", "run-cache-shards", "run-cache-max-bytes",
+                           "tuning-cache-capacity"}) {
+    const std::string arg = std::string("--") + flag + "=-1";
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(make({"serve", "--requests=5", arg.c_str()}), out, err), 1) << flag;
+    EXPECT_NE(err.str().find(std::string("error: --") + flag + " must be non-negative, got -1"),
+              std::string::npos)
+        << err.str();
+  }
+}
+
 TEST(CliServe, ReportAggregatesServeJson) {
   setenv("SCC_TESTBED_SCALE", "0.05", 1);
   const std::string file = temp_path("cli_serve_report.json");

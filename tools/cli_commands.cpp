@@ -232,8 +232,7 @@ serve::WorkloadSpec workload_from(const CliArgs& args) {
 tune::AutotuneConfig tuning_config_from(const CliArgs& args) {
   tune::AutotuneConfig tuning;
   tuning.cache.persist_path = args.get_or("tuning-cache-file", "");
-  tuning.cache.capacity = static_cast<std::size_t>(args.get_int_or(
-      "tuning-cache-capacity", static_cast<long long>(tuning.cache.capacity)));
+  tuning.cache.capacity = args.get_size_or("tuning-cache-capacity", tuning.cache.capacity);
   tuning.feature_fastpath = args.get_bool_or("fastpath", tuning.feature_fastpath);
   return tuning;
 }
@@ -265,13 +264,10 @@ serve::MatrixPool matrix_pool_from(const CliArgs& args) {
     return serve::MatrixPool::without_run_cache(scale);
   }
   sim::RunCacheConfig cache;
-  cache.capacity = static_cast<std::size_t>(
-      args.get_int_or("run-cache-capacity", static_cast<long long>(cache.capacity)));
-  cache.shards = static_cast<std::size_t>(
-      args.get_int_or("run-cache-shards", static_cast<long long>(cache.shards)));
+  cache.capacity = args.get_size_or("run-cache-capacity", cache.capacity);
+  cache.shards = args.get_size_or("run-cache-shards", cache.shards);
   cache.persist_path = args.get_or("run-cache-file", "");
-  cache.max_snapshot_bytes = static_cast<std::size_t>(
-      args.get_int_or("run-cache-max-bytes", static_cast<long long>(cache.max_snapshot_bytes)));
+  cache.max_snapshot_bytes = args.get_size_or("run-cache-max-bytes", cache.max_snapshot_bytes);
   return serve::MatrixPool(scale, cache);
 }
 
