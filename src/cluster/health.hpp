@@ -10,8 +10,8 @@
 // next beat boundary, and the balancer trusts it again ("rejoining" ->
 // "healthy") only after `rejoin_after_beats` consecutive beats -- also a
 // single precomputable instant. A fault-free run therefore has no detector
-// events at all, which is what keeps the zero-fault cluster bit-identical
-// to the single-chip serve simulator.
+// events at all, which is what lets the single-chip serve simulator run as
+// the zero-fault one-chip cluster.
 #pragma once
 
 #include <string>

@@ -13,17 +13,7 @@ obs::Json cluster_report_json(const serve::WorkloadSpec& workload,
                               const obs::Registry* metrics) {
   obs::Json report = obs::report_skeleton(obs::kKindCluster);
 
-  obs::Json workload_json = obs::Json::object();
-  workload_json.set("seed", workload.seed);
-  workload_json.set("offered_rps", workload.offered_rps);
-  workload_json.set("request_count", workload.request_count);
-  obs::Json mix = obs::Json::array();
-  for (const int id : workload.matrix_mix) mix.push_back(id);
-  workload_json.set("matrix_mix", std::move(mix));
-  workload_json.set("interactive_fraction", workload.interactive_fraction);
-  workload_json.set("slo_interactive_seconds", workload.slo_interactive_seconds);
-  workload_json.set("slo_batch_seconds", workload.slo_batch_seconds);
-  report.set("workload", std::move(workload_json));
+  report.set("workload", serve::workload_json(workload));
 
   obs::Json config_json = obs::Json::object();
   config_json.set("chip_count", config.chip_count);
@@ -75,11 +65,9 @@ obs::Json cluster_report_json(const serve::WorkloadSpec& workload,
   result_json.set("sdc_unrecoverable", result.sdc_unrecoverable);
   result_json.set("sdc_escapes", result.sdc_escapes);
   result_json.set("quarantines", result.quarantines);
-  obs::Json latency = obs::Json::object();
-  latency.set("total", serve::latency_summary_json(result.latency_total));
-  latency.set("interactive", serve::latency_summary_json(result.latency_interactive));
-  latency.set("batch", serve::latency_summary_json(result.latency_batch));
-  result_json.set("latency", std::move(latency));
+  result_json.set("latency", serve::latency_json(result.latency_total,
+                                                result.latency_interactive,
+                                                result.latency_batch));
   report.set("result", std::move(result_json));
 
   obs::Json chips = obs::Json::array();

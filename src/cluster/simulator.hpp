@@ -3,9 +3,10 @@
 // failures.
 //
 // Each chip is a full serve-layer instance (admission queue, partitioner,
-// fluid contention tracker) priced by one shared ServiceModel, so a
-// zero-fault single-chip cluster replays serve::Simulator bit-for-bit. On
-// top of that sit the robustness mechanisms the fault plan exercises:
+// fluid contention tracker) priced by one shared ServiceModel. The event
+// loop (cluster/serving_loop.hpp) is the only serving loop in the tree:
+// serve::Simulator runs it as a one-chip, fault-free cluster. On top of the
+// per-chip pipeline sit the robustness mechanisms the fault plan exercises:
 //
 //   * whole-chip crashes -- the chip freezes silently; a heartbeat failure
 //     detector declares it suspect then dead (cluster/health.hpp), at which
@@ -43,7 +44,9 @@
 //     mode recomputes once on the same chip, an unrecoverable recompute
 //     dead-letters with reason "sdc_unrecoverable", and a chip crossing
 //     `quarantine_threshold` detections is withdrawn permanently
-//     (HealthState::kQuarantined -- bad DRAM does not heal on restart).
+//     (HealthState::kQuarantined -- bad DRAM does not heal on restart). A
+//     one-chip cluster has no replica: it recomputes in place whenever
+//     verify is on and delivers an unrecoverable product flagged.
 //
 // Every fault, detector transition, failover, retry, hedge and breaker
 // event lands in an ordered log; identical seeds replay it byte for byte.
@@ -98,8 +101,9 @@ struct ClusterConfig {
   int chip_count = 3;
   /// Per-chip policy/admission/batching/engine. chip.verify is the
   /// cluster's ABFT mode (every chip prices and classifies under it);
-  /// chip.sdc is IGNORED here -- cluster corruption comes from the fault
-  /// plan (FaultPlan::sdc_rate / bad_dram), seeded per chip.
+  /// chip.sdc must be empty (the constructor checks) -- cluster corruption
+  /// comes from the fault plan (FaultPlan::sdc_rate / bad_dram), seeded
+  /// per chip.
   serve::ServeConfig chip;
   FaultPlan faults;
   /// Detected corruptions (detected, corrected or unrecoverable) on one

@@ -1,16 +1,53 @@
 #include "serve/report.hpp"
 
+#include <algorithm>
+
+#include "common/stats.hpp"
 #include "obs/report.hpp"
 
 namespace scc::serve {
 
-obs::Json latency_summary_json(const LatencySummary& summary) {
+LatencySummary summarize_latencies(std::vector<double>& latencies) {
+  LatencySummary summary;
+  summary.count = latencies.size();
+  if (latencies.empty()) return summary;
+  summary.mean = mean(latencies);  // before sorting: keeps the summation order
+  std::sort(latencies.begin(), latencies.end());
+  summary.p50 = percentile_sorted(latencies, 50.0);
+  summary.p95 = percentile_sorted(latencies, 95.0);
+  summary.p99 = percentile_sorted(latencies, 99.0);
+  return summary;
+}
+
+obs::Json workload_json(const WorkloadSpec& workload) {
   obs::Json j = obs::Json::object();
-  j.set("count", summary.count);
-  j.set("mean", summary.mean);
-  j.set("p50", summary.p50);
-  j.set("p95", summary.p95);
-  j.set("p99", summary.p99);
+  j.set("seed", workload.seed);
+  j.set("offered_rps", workload.offered_rps);
+  j.set("request_count", workload.request_count);
+  obs::Json mix = obs::Json::array();
+  for (const int id : workload.matrix_mix) mix.push_back(id);
+  j.set("matrix_mix", std::move(mix));
+  j.set("interactive_fraction", workload.interactive_fraction);
+  j.set("slo_interactive_seconds", workload.slo_interactive_seconds);
+  j.set("slo_batch_seconds", workload.slo_batch_seconds);
+  return j;
+}
+
+obs::Json latency_json(const LatencySummary& total, const LatencySummary& interactive,
+                       const LatencySummary& batch) {
+  const auto summary_json = [](const LatencySummary& summary) {
+    obs::Json j = obs::Json::object();
+    j.set("count", summary.count);
+    j.set("mean", summary.mean);
+    j.set("p50", summary.p50);
+    j.set("p95", summary.p95);
+    j.set("p99", summary.p99);
+    return j;
+  };
+  obs::Json j = obs::Json::object();
+  j.set("total", summary_json(total));
+  j.set("interactive", summary_json(interactive));
+  j.set("batch", summary_json(batch));
   return j;
 }
 
@@ -45,17 +82,7 @@ obs::Json serve_report_json(const WorkloadSpec& workload, const ServeConfig& con
                             const ServeResult& result, const obs::Registry* metrics) {
   obs::Json report = obs::report_skeleton(obs::kKindServe);
 
-  obs::Json workload_json = obs::Json::object();
-  workload_json.set("seed", workload.seed);
-  workload_json.set("offered_rps", workload.offered_rps);
-  workload_json.set("request_count", workload.request_count);
-  obs::Json mix = obs::Json::array();
-  for (const int id : workload.matrix_mix) mix.push_back(id);
-  workload_json.set("matrix_mix", std::move(mix));
-  workload_json.set("interactive_fraction", workload.interactive_fraction);
-  workload_json.set("slo_interactive_seconds", workload.slo_interactive_seconds);
-  workload_json.set("slo_batch_seconds", workload.slo_batch_seconds);
-  report.set("workload", std::move(workload_json));
+  report.set("workload", workload_json(workload));
 
   obs::Json config_json = obs::Json::object();
   config_json.set("policy", to_string(config.policy));
@@ -77,11 +104,8 @@ obs::Json serve_report_json(const WorkloadSpec& workload, const ServeConfig& con
   result_json.set("slo_violations", result.slo_violations);
   result_json.set("max_queue_depth", result.max_queue_depth);
   result_json.set("job_count", static_cast<long long>(result.jobs.size()));
-  obs::Json latency = obs::Json::object();
-  latency.set("total", latency_summary_json(result.latency_total));
-  latency.set("interactive", latency_summary_json(result.latency_interactive));
-  latency.set("batch", latency_summary_json(result.latency_batch));
-  result_json.set("latency", std::move(latency));
+  result_json.set("latency", latency_json(result.latency_total, result.latency_interactive,
+                                         result.latency_batch));
   report.set("result", std::move(result_json));
 
   obs::Json per_mc = obs::Json::array();

@@ -13,9 +13,13 @@
 
 namespace scc::serve {
 
-/// The latency summary object shared by every class: {"count","mean","p50",
-/// "p95","p99"}.
-obs::Json latency_summary_json(const LatencySummary& summary);
+/// The "workload" section shared by serve and cluster reports.
+obs::Json workload_json(const WorkloadSpec& workload);
+
+/// The "latency" object shared by serve and cluster results: one
+/// {"count","mean","p50","p95","p99"} summary per class.
+obs::Json latency_json(const LatencySummary& total, const LatencySummary& interactive,
+                       const LatencySummary& batch);
 
 /// The "tuning" section shared by serve and cluster reports: the run's
 /// predicted/explored split plus one object per decision made this run.

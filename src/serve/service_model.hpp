@@ -1,13 +1,9 @@
-// The shared job-timing oracle of the serving layers.
+// The job-timing oracle of the serving loop (cluster/serving_loop.hpp).
 //
-// Both the single-chip simulator (serve/simulator.hpp) and the multi-chip
-// cluster simulator (cluster/simulator.hpp) price a job the same way: one
-// sim::Engine run on the job's core set for the product phase, plus a CSR
-// distribute/load phase that streams the matrix through the partition's
-// memory controllers. Factoring the computation (and its memoization cache)
-// out of the simulator keeps the two layers bit-identical by construction:
-// a zero-fault single-chip cluster replays the exact doubles the serve
-// simulator produced.
+// Every job is priced the same way: one sim::Engine run on the job's core
+// set for the product phase, plus a CSR distribute/load phase that streams
+// the matrix through the partition's memory controllers. The memoization
+// cache lives here, outside the loop, so repeated jobs cost a lookup.
 #pragma once
 
 #include <map>

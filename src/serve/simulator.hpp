@@ -10,6 +10,11 @@
 // one job in flight the model degenerates to the engine's own numbers
 // exactly, so the serving path is a strict superset of the single-tenant
 // one (tested in tests/test_serve.cpp).
+//
+// The simulator is the one-chip, fault-free cluster: run() drives the
+// serving loop shared with cluster::ClusterSimulator
+// (cluster/serving_loop.hpp) and maps its outcome onto ServeResult. Its
+// definition therefore lives in scc_cluster; link scc::cluster to use it.
 #pragma once
 
 #include <array>
@@ -50,11 +55,11 @@ struct ServeConfig {
   tune::AutotuneConfig tuning;  ///< grid + scoring knobs when autotune is on
   /// ABFT verification mode every job's products run under: the engine
   /// prices the checksum dot-products into each product, and a job whose
-  /// verification fails is retried once on the same chip (the single-chip
-  /// analogue of the cluster's reroute; docs/INTEGRITY.md).
+  /// verification fails is retried once on the same chip (a lone chip has
+  /// no replica to reroute to; docs/INTEGRITY.md).
   integrity::VerifyMode verify = integrity::VerifyMode::kOff;
   /// SDC injection for single-chip serving (seeded per job id). The cluster
-  /// simulator ignores this field: its corruption model lives in the fault
+  /// simulator requires it empty: its corruption model lives in the fault
   /// plan (cluster::FaultPlan::sdc_rate / bad_dram).
   integrity::SdcPlan sdc;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -41,6 +42,9 @@ Header parse_header(const std::string& line) {
   return h;
 }
 
+/// True when `line` holds nothing after what was already extracted.
+bool fully_read(std::istringstream& line) { return (line >> std::ws).eof(); }
+
 bool next_content_line(std::istream& in, std::string& line) {
   while (std::getline(in, line)) {
     const auto first = line.find_first_not_of(" \t\r");
@@ -62,11 +66,14 @@ CsrMatrix read_matrix_market(std::istream& in) {
   std::istringstream size_line(line);
   long long rows = 0, cols = 0, entries = 0;
   size_line >> rows >> cols >> entries;
-  SCC_REQUIRE(!size_line.fail(), "malformed size line '" << line << "'");
-  SCC_REQUIRE(rows > 0 && cols > 0 && entries >= 0, "invalid matrix dimensions");
+  SCC_REQUIRE(!size_line.fail() && fully_read(size_line), "malformed size line '" << line << "'");
+  constexpr long long kMaxIndex = std::numeric_limits<index_t>::max();
+  SCC_REQUIRE(rows > 0 && cols > 0 && rows <= kMaxIndex && cols <= kMaxIndex && entries >= 0,
+              "invalid matrix dimensions '" << line << "' (rows and cols must be in [1, "
+                                            << kMaxIndex << "])");
 
+  // No reserve: the entry count is the file's claim, not data it delivered.
   CooMatrix coo(static_cast<index_t>(rows), static_cast<index_t>(cols));
-  coo.reserve(header.symmetric ? 2 * entries : entries);
   for (long long i = 0; i < entries; ++i) {
     SCC_REQUIRE(next_content_line(in, line),
                 "expected " << entries << " entries, stream ended after " << i);
@@ -75,7 +82,7 @@ CsrMatrix read_matrix_market(std::istream& in) {
     double v = 1.0;
     entry >> r >> c;
     if (!header.pattern) entry >> v;
-    SCC_REQUIRE(!entry.fail(), "malformed entry line '" << line << "'");
+    SCC_REQUIRE(!entry.fail() && fully_read(entry), "malformed entry line '" << line << "'");
     SCC_REQUIRE(r >= 1 && r <= rows && c >= 1 && c <= cols,
                 "entry (" << r << "," << c << ") out of range");
     coo.add(static_cast<index_t>(r - 1), static_cast<index_t>(c - 1), v);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -47,8 +48,20 @@ std::optional<sparse::CsrMatrix> load_cached(const std::string& name, double sca
 
   Header header;
   in.read(reinterpret_cast<char*>(&header), sizeof header);
+  constexpr std::int64_t kMaxIndex = std::numeric_limits<index_t>::max();
   if (!in || header.magic != kMagic || header.version != kVersion || header.rows <= 0 ||
-      header.cols <= 0 || header.nnz < 0) {
+      header.cols <= 0 || header.nnz < 0 || header.rows > kMaxIndex || header.cols > kMaxIndex) {
+    return std::nullopt;
+  }
+  // Allocate only what the file backs: its payload must be exactly the
+  // arrays the header describes, so a corrupt count is a rebuild.
+  std::error_code ec;
+  const std::uintmax_t file_bytes = std::filesystem::file_size(path, ec);
+  const auto rows = static_cast<std::uintmax_t>(header.rows);
+  const auto nnz = static_cast<std::uintmax_t>(header.nnz);
+  constexpr std::uintmax_t kEntryBytes = sizeof(index_t) + sizeof(real_t);
+  if (ec || nnz > file_bytes / kEntryBytes ||
+      file_bytes != sizeof header + (rows + 1) * sizeof(nnz_t) + nnz * kEntryBytes) {
     return std::nullopt;
   }
   std::vector<nnz_t> ptr(static_cast<std::size_t>(header.rows) + 1);

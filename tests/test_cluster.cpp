@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
@@ -1284,6 +1285,50 @@ TEST(ClusterFaultPlanJson, RejectsMalformedScenarios) {
           R"({"events": [{"kind": "bad_dram", "chip": 0, "rate": 2.0}]})"),
       std::invalid_argument);
   EXPECT_THROW(load_fault_plan_file("/nonexistent/plan.json"), std::invalid_argument);
+}
+
+// --- pinned report bytes ---
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(ClusterGolden, ReportDigestsArePinned) {
+  // Every byte of the kind="cluster" report, metrics and fault log
+  // included, for the chaos plan, a detect-mode bad-DRAM chip that crosses
+  // the quarantine threshold, and the failover-off baseline.
+  serve::MatrixPool pool(kTestScale);
+  const serve::WorkloadSpec spec = relaxed(small_workload(60, 2000.0));
+  const auto requests = serve::generate_workload(spec);
+
+  struct Case {
+    std::string name;
+    ClusterConfig config;
+    std::uint64_t digest = 0;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"chaos", chaos_config(), 0x26b2c911523c56feULL});
+  Case detect{"detect+bad_dram", {}, 0xdbdb4a184badd4a3ULL};
+  detect.config.chip.verify = integrity::VerifyMode::kDetect;
+  detect.config.faults.bad_dram = {{0, 1.0, 1.0}};
+  detect.config.quarantine_threshold = 2;
+  cases.push_back(std::move(detect));
+  Case baseline{"failover-off", chaos_config(), 0x65977e743f108b48ULL};
+  baseline.config.failover = false;
+  cases.push_back(std::move(baseline));
+
+  for (const Case& c : cases) {
+    ClusterSimulator simulator(c.config, pool);
+    const ClusterResult result = simulator.run(requests);
+    const std::string bytes =
+        cluster_report_json(spec, c.config, result, &simulator.metrics()).dump();
+    EXPECT_EQ(fnv1a(bytes), c.digest) << c.name << " digest 0x" << std::hex << fnv1a(bytes);
+  }
 }
 
 }  // namespace

@@ -738,5 +738,82 @@ TEST(ServeIntegrity, ClassificationReplaysAcrossThreadsAndRunCache) {
   }
 }
 
+// --- pinned report bytes ---
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(ServeGolden, ReportDigestsArePinned) {
+  // Every byte of the kind="serve" report, metrics and per_mc included:
+  // the policy x batching grid under a load that both rejects and expires
+  // requests, each verify mode under sticky SDC injection, and autotuned
+  // dispatch. A digest moves only when serve's output does.
+  MatrixPool pool(kTestScale);
+  WorkloadSpec overload = small_workload(300, 60000.0);
+  overload.slo_interactive_seconds = 0.0005;
+  overload.slo_batch_seconds = 0.002;
+  const auto overload_requests = generate_workload(overload);
+  const WorkloadSpec sdc_spec = integrity_workload(60);
+  const auto sdc_requests = generate_workload(sdc_spec);
+
+  struct Case {
+    std::string name;
+    ServeConfig config;
+    bool overloaded = true;
+    std::uint64_t digest = 0;
+  };
+  std::vector<Case> cases;
+  const std::vector<std::uint64_t> grid_digests = {
+      0xe30e69584f880502ULL, 0xb4731598b36100edULL, 0xb5b206f532655b3bULL,
+      0x6028097251385494ULL, 0x2627c4020c6d0cb9ULL, 0x0fea41250786e639ULL};
+  std::size_t next = 0;
+  for (const SchedulingPolicy policy :
+       {SchedulingPolicy::kFifoWholeChip, SchedulingPolicy::kFixedQuadrants,
+        SchedulingPolicy::kMatrixAware}) {
+    for (const bool batching : {false, true}) {
+      Case c{to_string(policy) + (batching ? "/batch" : "/nobatch"), {}, true,
+             grid_digests[next++]};
+      c.config.policy = policy;
+      c.config.batching = batching;
+      c.config.admission.max_queue_depth = 16;
+      cases.push_back(std::move(c));
+    }
+  }
+  const std::vector<std::pair<integrity::VerifyMode, std::uint64_t>> verify_digests = {
+      {integrity::VerifyMode::kOff, 0x8ebe1dca7aed923aULL},
+      {integrity::VerifyMode::kDetect, 0x5da8ccb85e3f5b8dULL},
+      {integrity::VerifyMode::kCorrect, 0x445dcc6b5023c00bULL}};
+  for (const auto& [mode, digest] : verify_digests) {
+    Case c{"verify=" + std::string(integrity::to_string(mode)), {}, false, digest};
+    c.config.verify = mode;
+    c.config.sdc.rate = 0.3;
+    c.config.sdc.sticky_rate = 0.5;
+    cases.push_back(std::move(c));
+  }
+  Case tuned{"autotune", {}, true, 0x0e516f791e0c4a79ULL};
+  tuned.config.autotune = true;
+  cases.push_back(std::move(tuned));
+
+  for (const Case& c : cases) {
+    Simulator simulator(c.config, pool);
+    const ServeResult result = simulator.run(c.overloaded ? overload_requests : sdc_requests);
+    if (c.overloaded && !c.config.autotune) {
+      EXPECT_GT(result.rejected, 0) << c.name;
+      EXPECT_GT(result.deadline_expired, 0) << c.name;
+    }
+    const std::string bytes =
+        serve_report_json(c.overloaded ? overload : sdc_spec, c.config, result,
+                          &simulator.metrics())
+            .dump();
+    EXPECT_EQ(fnv1a(bytes), c.digest) << c.name << " digest 0x" << std::hex << fnv1a(bytes);
+  }
+}
+
 }  // namespace
 }  // namespace scc::serve

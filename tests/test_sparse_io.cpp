@@ -4,7 +4,10 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "gen/generators.hpp"
 
 namespace scc::sparse {
@@ -88,6 +91,99 @@ TEST(MatrixMarket, RejectsTruncatedEntries) {
       "2 2 2\n"
       "1 1 1.0\n");
   EXPECT_THROW(read_matrix_market(in), std::invalid_argument);
+}
+
+TEST(MatrixMarket, RejectsEntryCountItCannotBack) {
+  // The size line claims 10^11 entries; the reader must not allocate for
+  // them before the stream delivers any.
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "4 4 100000000000\n"
+      "1 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(in), std::invalid_argument);
+}
+
+TEST(MatrixMarket, RejectsDimensionsBeyondIndexRange) {
+  std::istringstream rows(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "5000000000 4 1\n"
+      "1 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(rows), std::invalid_argument);
+  std::istringstream cols(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "4 2147483648 1\n"
+      "1 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(cols), std::invalid_argument);
+}
+
+TEST(MatrixMarket, RejectsTrailingTokens) {
+  std::istringstream entry(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "1 1 1\n"
+      "1 1 1.0 garbage\n");
+  EXPECT_THROW(read_matrix_market(entry), std::invalid_argument);
+  std::istringstream size(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "1 1 1 7\n"
+      "1 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(size), std::invalid_argument);
+  std::istringstream pattern(
+      "%%MatrixMarket matrix coordinate pattern general\n"
+      "1 1 1\n"
+      "1 1 1.0\n");
+  EXPECT_THROW(read_matrix_market(pattern), std::invalid_argument);
+}
+
+TEST(MatrixMarketFuzz, MutantsParseOrThrowInvalidArgument) {
+  // Seeded mutational fuzzing of a valid file: truncation, byte flips and
+  // token splices. A mutant either parses into a structurally valid matrix
+  // or is rejected with std::invalid_argument -- never another exception,
+  // a crash or an allocation sized by a number the file never backed.
+  const std::string seed_file =
+      "%%MatrixMarket matrix coordinate real symmetric\n"
+      "% fuzz seed\n"
+      "5 5 6\n"
+      "1 1 4.0\n"
+      "2 1 -1.5\n"
+      "3 3 2.25\n"
+      "4 2 1e-3\n"
+      "5 5 7\n"
+      "5 4 0.5\n";
+  const std::vector<std::string> tokens = {"0",    "-1",  "2147483648", "99999999999",
+                                           "1e308", "nan", "garbage",    "%",
+                                           "\n",   "1",   "5",          "pattern"};
+  Rng rng(0xf022);
+  int parsed = 0;
+  for (int mutant = 0; mutant < 3000; ++mutant) {
+    std::string text = seed_file;
+    const auto mutations = rng.uniform_in(1, 3);
+    for (std::int64_t m = 0; m < mutations && !text.empty(); ++m) {
+      const auto at = static_cast<std::size_t>(rng.uniform(text.size()));
+      switch (rng.uniform(3)) {
+        case 0:  // truncate
+          text.resize(at);
+          break;
+        case 1:  // flip one byte to an arbitrary value
+          text[at] = static_cast<char>(rng.uniform(256));
+          break;
+        default:  // splice a token between spaces
+          text.insert(at, " " + tokens[static_cast<std::size_t>(rng.uniform(tokens.size()))] +
+                              " ");
+          break;
+      }
+    }
+    std::istringstream in(text);
+    try {
+      const CsrMatrix matrix = read_matrix_market(in);
+      matrix.validate();
+      ++parsed;
+    } catch (const std::invalid_argument&) {
+    }
+  }
+  // Some mutants (a flipped comment byte, a truncated tail newline) stay
+  // valid; most do not.
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, 3000);
 }
 
 TEST(MatrixMarket, RejectsEmptyStream) {

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string>
 
 #include "testbed/cache.hpp"
 
@@ -125,11 +127,25 @@ TEST_F(TestbedSuite, CacheIgnoresCorruptFile) {
   const std::string dir = cache_directory();
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/" + cache_key("corrupt-test", 1.0);
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "garbage";
+  // A well-formed header (magic, version 3) claiming 4x4 with 10^15
+  // nonzeros over an empty payload: must be a rebuild, not an allocation.
+  std::string huge_nnz;
+  const auto put = [&](auto value) {
+    huge_nnz.append(reinterpret_cast<const char*>(&value), sizeof value);
+  };
+  put(std::uint64_t{0x5cc5bedf11e00001ULL});
+  put(std::uint32_t{3});
+  put(std::uint32_t{0});
+  put(std::int64_t{4});
+  put(std::int64_t{4});
+  put(std::int64_t{1'000'000'000'000'000});
+  for (const std::string& bytes : {std::string("garbage"), huge_nnz}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    EXPECT_FALSE(load_cached("corrupt-test", 1.0).has_value());
   }
-  EXPECT_FALSE(load_cached("corrupt-test", 1.0).has_value());
 }
 
 TEST_F(TestbedSuite, ScaleKeysDistinctCacheFiles) {

@@ -575,6 +575,35 @@ TEST(CliIntegrity, MalformedIntegrityFlagsRejectedWithActionableErrors) {
                "--mem-corrupt-rate");
 }
 
+/// `argv` must fail with exit 1 and an error naming `hint`.
+void expect_cli_error(std::vector<const char*> argv, const std::string& hint) {
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli(make(argv), out, err), 1) << hint;
+  EXPECT_NE(err.str().find("error: "), std::string::npos) << hint;
+  EXPECT_NE(err.str().find(hint), std::string::npos) << err.str();
+}
+
+TEST(CliCluster, RejectsBatchMaxBelowOneLikeServe) {
+  setenv("SCC_TESTBED_SCALE", "0.05", 1);
+  for (const char* flag : {"--batch-max=0", "--batch-max=-3"}) {
+    expect_cli_error({"serve", "--requests=5", flag}, "batch_max must be >= 1");
+    expect_cli_error({"cluster", "--requests=5", flag}, "batch_max must be >= 1");
+  }
+  unsetenv("SCC_TESTBED_SCALE");
+}
+
+TEST(CliCluster, RejectsSdcSeedAndPointsToTheFaultPlan) {
+  expect_cli_error({"cluster", "--verify=detect", "--sdc-rate=0.3", "--sdc-seed=12345"},
+                   "--sdc-seed is a serve flag");
+  expect_cli_error({"cluster", "--sdc-seed=7"}, "--fault-seed");
+}
+
+TEST(CliCluster, RejectsSdcBitsAndPointsToTheFaultPlan) {
+  expect_cli_error({"cluster", "--verify=detect", "--sdc-rate=0.3", "--sdc-bits=0:3"},
+                   "--sdc-bits is a serve flag");
+  expect_cli_error({"cluster", "--sdc-bits=52:62"}, "--fault-seed");
+}
+
 TEST(CliIntegrity, ResilienceJsonCountsCorruptTransfersAndMemoryFlips) {
   const std::string path = generate_matrix("cli_integ_res.mtx");
   const std::string matrix_arg = "--matrix=" + path;

@@ -237,7 +237,8 @@ tune::AutotuneConfig tuning_config_from(const CliArgs& args) {
   return tuning;
 }
 
-/// Per-chip serving flags shared by `serve` and `cluster`.
+/// Per-chip serving flags shared by `serve` and `cluster` (the SDC
+/// injection plan is serve's alone: see cmd_serve).
 serve::ServeConfig serve_config_from(const CliArgs& args) {
   serve::ServeConfig config;
   config.policy = serve::parse_policy(args.get_or("policy", "matrix-aware"));
@@ -251,7 +252,6 @@ serve::ServeConfig serve_config_from(const CliArgs& args) {
   config.autotune = args.get_bool_or("autotune", config.autotune);
   config.tuning = tuning_config_from(args);
   config.verify = verify_mode_from(args);
-  config.sdc = sdc_plan_from(args);
   return config;
 }
 
@@ -695,7 +695,8 @@ int cmd_serve(const CliArgs& args, std::ostream& out) {
   const OutputOptions output = parse_output_options(args);
 
   const serve::WorkloadSpec workload = workload_from(args);
-  const serve::ServeConfig config = serve_config_from(args);
+  serve::ServeConfig config = serve_config_from(args);
+  config.sdc = sdc_plan_from(args);
 
   const auto requests = serve::generate_workload(workload);
   serve::MatrixPool pool = matrix_pool_from(args);
@@ -744,6 +745,13 @@ int cmd_cluster(const CliArgs& args, std::ostream& out) {
   const OutputOptions output = parse_output_options(args);
 
   const serve::WorkloadSpec workload = workload_from(args);
+  // The cluster's corruption model is the fault plan's, seeded per chip by
+  // the fault seed: serve's per-job SDC stream flags have nothing to set.
+  for (const char* flag : {"sdc-seed", "sdc-bits"}) {
+    SCC_REQUIRE(!args.has(flag), "--" << flag << " is a serve flag; the cluster seeds SDC from "
+                                      "--fault-seed and the fault plan (--sdc-rate, "
+                                      "--sdc-sticky, --bad-dram)");
+  }
   cluster::ClusterConfig config;
   config.chip_count = static_cast<int>(args.get_int_or("chips", config.chip_count));
   config.chip = serve_config_from(args);
@@ -1053,7 +1061,8 @@ int run_cli(const CliArgs& args, std::ostream& out, std::ostream& err) {
       "            [--verify off|detect|correct] [--sdc-rate P --sdc-sticky P]\n"
       "            [--bad-dram CHIP:RATE[:STICKY],...] [--quarantine-threshold N]\n"
       "            [--retries K] [--hedge on|off --hedge-delay S] [--fault-seed S]\n"
-      "            [--log] plus every serve workload/config flag\n"
+      "            [--log] plus every serve workload/config flag but\n"
+      "            --sdc-seed / --sdc-bits (SDC is seeded by the fault plan)\n"
       "  autotune  [--id K | --matrix FILE | --mix 26,27] [--conf 0|1|2]\n"
       "            explore format x reorder x cores x mapping per matrix and\n"
       "            pin the winner in the tuning cache\n"
