@@ -22,10 +22,10 @@
 int main(int argc, char** argv) {
   using namespace scc;
   const CliArgs args(argc, argv);
-  const auto grid = static_cast<index_t>(args.get_int_or("grid", 64));
-  const int ues = static_cast<int>(args.get_int_or("ues", 8));
+  const auto grid = args.get_int_or("grid", 64);
+  const int ues = args.get_int_or("ues", 8);
   const double tol = args.get_double_or("tol", 1e-8);
-  const int max_iters = static_cast<int>(args.get_int_or("max-iters", 2000));
+  const int max_iters = args.get_int_or("max-iters", 2000);
 
   const sparse::CsrMatrix a = gen::stencil_2d(grid, grid);
   const auto n = static_cast<std::size_t>(a.rows());

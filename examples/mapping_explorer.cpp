@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
   using namespace scc;
   const CliArgs args(argc, argv);
   const std::string family = args.get_or("family", "random");
-  const auto n = static_cast<index_t>(args.get_int_or("n", 40000));
-  const int ues = static_cast<int>(args.get_int_or("ues", 24));
-  const int conf = static_cast<int>(args.get_int_or("conf", 0));
+  const auto n = args.get_int_or("n", 40000);
+  const int ues = args.get_int_or("ues", 24);
+  const int conf = args.get_int_or("conf", 0);
 
   sim::EngineConfig cfg;
   cfg.freq = conf == 1   ? chip::FrequencyConfig::conf1()

@@ -18,9 +18,9 @@
 int main(int argc, char** argv) {
   using namespace scc;
   const CliArgs args(argc, argv);
-  const int id = static_cast<int>(args.get_int_or("id", 1));
-  const int ues = static_cast<int>(args.get_int_or("ues", 48));
-  const auto top = static_cast<std::size_t>(args.get_int_or("top", 10));
+  const int id = args.get_int_or("id", 1);
+  const int ues = args.get_int_or("ues", 48);
+  const auto top = args.get_size_or("top", 10);
 
   const auto entry = testbed::build_entry(id, testbed::suite_scale_from_env());
   std::cout << "matrix #" << id << " (" << entry.name << "), " << ues << " UEs, sweeping all"

@@ -21,7 +21,7 @@
 int main(int argc, char** argv) {
   using namespace scc;
   const CliArgs args(argc, argv);
-  const int cores = static_cast<int>(args.get_int_or("cores", 24));
+  const int cores = args.get_int_or("cores", 24);
 
   // 1. A matrix: a 3D Poisson problem by default, or any .mtx file.
   sparse::CsrMatrix a;

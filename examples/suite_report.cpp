@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     a = sparse::read_matrix_market_file(*path);
     name = *path;
   } else {
-    const auto entry = testbed::build_entry(static_cast<int>(args.get_int_or("id", 14)),
+    const auto entry = testbed::build_entry(args.get_int_or("id", 14),
                                             testbed::suite_scale_from_env());
     a = std::move(entry.matrix);
     name = entry.name + " (#" + std::to_string(entry.id) + ", " + entry.family + ")";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -177,10 +178,16 @@ double num_or(const obs::Json& object, const std::string& key, double fallback) 
   return value->as_double();
 }
 
+/// An integer that fits int: a wider one is rejected, never narrowed.
+bool fits_int(const obs::Json& value) {
+  return value.is_int() && value.as_int() >= std::numeric_limits<int>::min() &&
+         value.as_int() <= std::numeric_limits<int>::max();
+}
+
 int int_or(const obs::Json& object, const std::string& key, int fallback) {
   const obs::Json* value = object.find(key);
   if (value == nullptr) return fallback;
-  SCC_REQUIRE(value->is_int(), "fault plan field '" + key + "' must be an integer");
+  SCC_REQUIRE(fits_int(*value), "fault plan field '" + key + "' must be an int-range integer");
   return static_cast<int>(value->as_int());
 }
 
@@ -193,8 +200,8 @@ double required_num(const obs::Json& object, const std::string& key, const std::
 
 int required_int(const obs::Json& object, const std::string& key, const std::string& kind) {
   const obs::Json* value = object.find(key);
-  SCC_REQUIRE(value != nullptr && value->is_int(),
-              "fault plan event '" + kind + "' needs integer field '" + key + "'");
+  SCC_REQUIRE(value != nullptr && fits_int(*value),
+              "fault plan event '" + kind + "' needs int-range integer field '" + key + "'");
   return static_cast<int>(value->as_int());
 }
 

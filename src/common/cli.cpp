@@ -47,12 +47,14 @@ std::string CliArgs::get_or(const std::string& key, const std::string& fallback)
 namespace {
 
 /// Parses all of `text` as a T; throws naming `--key` when it is empty, out
-/// of range or has a tail (`20x`).
+/// of T's range or has a tail (`20x`).
 template <typename T>
 T parse_whole(const std::string& key, const std::string& text, const char* expected) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  SCC_REQUIRE(ec != std::errc::result_out_of_range,
+              "--" << key << " is out of range, got '" << text << "'");
   SCC_REQUIRE(ec == std::errc() && ptr == end,
               "--" << key << " expects " << expected << ", got '" << text << "'");
   return value;
@@ -60,9 +62,9 @@ T parse_whole(const std::string& key, const std::string& text, const char* expec
 
 }  // namespace
 
-long long CliArgs::get_int_or(const std::string& key, long long fallback) const {
+int CliArgs::get_int_or(const std::string& key, int fallback) const {
   const auto value = get(key);
-  return value ? parse_whole<long long>(key, *value, "an integer") : fallback;
+  return value ? parse_whole<int>(key, *value, "an integer") : fallback;
 }
 
 double CliArgs::get_double_or(const std::string& key, double fallback) const {
@@ -71,7 +73,9 @@ double CliArgs::get_double_or(const std::string& key, double fallback) const {
 }
 
 std::size_t CliArgs::get_size_or(const std::string& key, std::size_t fallback) const {
-  const long long value = get_int_or(key, static_cast<long long>(fallback));
+  const auto text = get(key);
+  if (!text) return fallback;
+  const auto value = parse_whole<long long>(key, *text, "an integer");
   SCC_REQUIRE(value >= 0, "--" << key << " must be non-negative, got " << value);
   return static_cast<std::size_t>(value);
 }

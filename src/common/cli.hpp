@@ -29,9 +29,10 @@ class CliArgs {
 
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, const std::string& fallback) const;
-  /// Numeric values must parse whole (`--requests=20x` is an error naming
-  /// the flag, never 20); get_size_or also rejects negatives.
-  long long get_int_or(const std::string& key, long long fallback) const;
+  /// Numeric values must parse whole and fit their type (`--requests=20x`
+  /// and `--cores=4294967320` are errors naming the flag, never 20 or 24);
+  /// get_size_or also rejects negatives.
+  int get_int_or(const std::string& key, int fallback) const;
   double get_double_or(const std::string& key, double fallback) const;
   std::size_t get_size_or(const std::string& key, std::size_t fallback) const;
   bool get_bool_or(const std::string& key, bool fallback) const;

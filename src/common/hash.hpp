@@ -5,8 +5,9 @@
 // simple; it is a cache key, not a cryptographic digest. Keys do leave the
 // process: RunCache and TuningCache snapshots store them on disk, so any
 // change to what a key hashes (or how) turns every persisted entry into a
-// miss. Multi-byte values are hashed in host byte order, so those snapshots
-// are only portable between hosts of the same endianness.
+// miss. Multi-byte values are hashed in host byte order, so the keys are
+// host-order FNV values: the snapshot framing (common/framed_file.hpp) is
+// little-endian, but a key computed on a big-endian host would differ.
 #pragma once
 
 #include <cstdint>

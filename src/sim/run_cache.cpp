@@ -1,14 +1,13 @@
 #include "sim/run_cache.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <span>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/framed_file.hpp"
 #include "common/hash.hpp"
 #include "scc/topology.hpp"
 #include "sparse/csr.hpp"
@@ -343,20 +342,11 @@ std::uint64_t RunCache::evictions() const {
 
 // ---- Snapshot persistence ----
 //
-// Layout (host-endian; the version/checksum pair guards against every other
-// mismatch, and run caches are machine-local by construction):
-//
-//   8 bytes  magic "SCCRUNC\n"
-//   u32      kSnapshotVersion
-//   u64      entry count
-//   u64      payload byte count
-//   u64      FNV-1a checksum of the payload
-//   payload  entries back to back: generation tag, RunKey words, then the
-//            RunResult fields in the fixed order of write_result() below
-//
-// Any deviation -- short file, bad magic, other version, checksum mismatch,
-// payload that does not parse exactly -- rejects the whole snapshot and
-// leaves the cache untouched.
+// A snapshot is a common::framed_file whose payload is a u64 entry count,
+// then the entries back to back: generation tag, RunKey words, then the
+// RunResult fields in the order of transfer() below. A load is
+// all-or-nothing: the file is decoded in full and its checksum verified
+// before the first entry is inserted.
 //
 // Compaction: when RunCacheConfig::max_snapshot_bytes is set and a full
 // save would exceed it, entries are kept newest-generation-first (stable
@@ -366,205 +356,48 @@ std::uint64_t RunCache::evictions() const {
 
 namespace {
 
-constexpr char kSnapshotMagic[8] = {'S', 'C', 'C', 'R', 'U', 'N', 'C', '\n'};
-/// Hard upper bound on snapshot entries: corrupt counts must not drive
-/// allocation even when the checksum happens to collide.
-constexpr std::uint64_t kMaxSnapshotEntries = 1u << 22;
+constexpr common::FrameFormat kSnapshotFormat{
+    .magic = std::bit_cast<std::uint64_t>(std::array{'S', 'C', 'C', 'R', 'U', 'N', 'C', '\n'}),
+    .version = RunCache::kSnapshotVersion};
+constexpr std::size_t kWord = sizeof(std::uint64_t);
 
-class SnapshotWriter {
- public:
-  void u32(std::uint32_t value) { raw(&value, sizeof value); }
-  void u64(std::uint64_t value) { raw(&value, sizeof value); }
-  void i64(std::int64_t value) { u64(static_cast<std::uint64_t>(value)); }
-  void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
-  void boolean(bool value) { u64(value ? 1 : 0); }
-  void raw(const void* data, std::size_t size) {
-    buffer_.append(static_cast<const char*>(data), size);
-  }
-  const std::string& buffer() const { return buffer_; }
-
- private:
-  std::string buffer_;
-};
-
-class SnapshotReader {
- public:
-  explicit SnapshotReader(std::string_view data) : data_(data) {}
-
-  bool u32(std::uint32_t& value) { return raw(&value, sizeof value); }
-  bool u64(std::uint64_t& value) { return raw(&value, sizeof value); }
-  bool i64(std::int64_t& value) {
-    std::uint64_t bits = 0;
-    if (!u64(bits)) return false;
-    value = static_cast<std::int64_t>(bits);
-    return true;
-  }
-  bool f64(double& value) {
-    std::uint64_t bits = 0;
-    if (!u64(bits)) return false;
-    value = std::bit_cast<double>(bits);
-    return true;
-  }
-  bool boolean(bool& value) {
-    std::uint64_t bits = 0;
-    if (!u64(bits)) return false;
-    value = bits != 0;
-    return true;
-  }
-  bool exhausted() const { return pos_ == data_.size(); }
-
- private:
-  bool raw(void* out, std::size_t size) {
-    if (data_.size() - pos_ < size) return false;
-    std::memcpy(out, data_.data() + pos_, size);
-    pos_ += size;
-    return true;
-  }
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-void write_cache_stats(SnapshotWriter& w, const cache::CacheStats& stats) {
-  w.u64(stats.read_hits);
-  w.u64(stats.read_misses);
-  w.u64(stats.write_hits);
-  w.u64(stats.write_misses);
-  w.u64(stats.evictions);
-  w.u64(stats.dirty_writebacks);
-}
-
-bool read_cache_stats(SnapshotReader& r, cache::CacheStats& stats) {
-  return r.u64(stats.read_hits) && r.u64(stats.read_misses) && r.u64(stats.write_hits) &&
-         r.u64(stats.write_misses) && r.u64(stats.evictions) && r.u64(stats.dirty_writebacks);
-}
-
-void write_result(SnapshotWriter& w, const RunResult& result) {
-  w.u64(result.cores.size());
-  for (const CoreResult& cr : result.cores) {
-    w.i64(cr.core);
-    w.i64(cr.hops);
-    write_cache_stats(w, cr.trace.l1);
-    write_cache_stats(w, cr.trace.l2);
-    w.u64(cr.trace.memory_accesses);
-    w.u64(cr.trace.l2_hit_accesses);
-    w.u64(cr.trace.memory_read_bytes);
-    w.u64(cr.trace.memory_write_bytes);
-    w.u64(cr.trace.tlb_misses);
-    w.i64(cr.trace.rows);
-    w.i64(cr.trace.nnz);
-    w.f64(cr.compute_seconds);
-    w.f64(cr.l2_hit_seconds);
-    w.f64(cr.stall_seconds);
-    w.f64(cr.tlb_seconds);
-    w.f64(cr.isolated_seconds);
-  }
-  w.f64(result.seconds);
-  w.f64(result.gflops);
-  for (const bytes_t bytes : result.mc_bytes) w.u64(bytes);
-  for (const double seconds : result.mc_seconds) w.f64(seconds);
-  w.boolean(result.bandwidth_bound);
-  w.u64(result.mesh.total_link_bytes);
-  w.u64(result.mesh.max_link_bytes);
-  w.u64(result.mesh.hot_links.size());
-  for (const noc::Mesh::LinkLoad& load : result.mesh.hot_links) {
-    w.i64(load.link.from.x);
-    w.i64(load.link.from.y);
-    w.i64(load.link.to.x);
-    w.i64(load.link.to.y);
-    w.u64(load.bytes);
-  }
-  w.i64(result.dead_count);
-  w.u64(result.reshipped_bytes);
-  w.f64(result.recovery_seconds);
-  w.u64(static_cast<std::uint64_t>(result.verify));
-  w.u64(static_cast<std::uint64_t>(result.outcome));
-  w.boolean(result.sdc_injected);
-  w.boolean(result.sdc_significant);
-  w.i64(result.verify_attempts);
-  w.f64(result.verify_seconds);
-  w.f64(result.recompute_seconds);
-  w.f64(result.verify_residual);
-  w.f64(result.verify_tolerance);
-}
-
-bool read_i32(SnapshotReader& r, int& value) {
-  std::int64_t wide = 0;
-  if (!r.i64(wide)) return false;
-  if (wide < INT32_MIN || wide > INT32_MAX) return false;
-  value = static_cast<int>(wide);
-  return true;
-}
-
-bool read_result(SnapshotReader& r, RunResult& result) {
-  std::uint64_t core_count = 0;
-  if (!r.u64(core_count) || core_count > static_cast<std::uint64_t>(chip::kCoreCount)) {
-    return false;
-  }
-  result.cores.resize(core_count);
-  for (CoreResult& cr : result.cores) {
-    if (!read_i32(r, cr.core) || !read_i32(r, cr.hops)) return false;
-    if (!read_cache_stats(r, cr.trace.l1) || !read_cache_stats(r, cr.trace.l2)) return false;
-    if (!r.u64(cr.trace.memory_accesses) || !r.u64(cr.trace.l2_hit_accesses) ||
-        !r.u64(cr.trace.memory_read_bytes) || !r.u64(cr.trace.memory_write_bytes) ||
-        !r.u64(cr.trace.tlb_misses) || !r.i64(cr.trace.rows) || !r.i64(cr.trace.nnz)) {
-      return false;
+/// An entry's RunResult, once for both directions: `io` is a FrameWriter
+/// (save; `Result` is then const) or a FrameReader (load).
+template <typename Io, typename Result>
+void transfer(Io& io, Result& result) {
+  io.length(result.cores, static_cast<std::size_t>(chip::kCoreCount));
+  for (auto& cr : result.cores) {
+    io(cr.core, cr.hops);
+    for (auto* stats : {&cr.trace.l1, &cr.trace.l2}) {
+      io(stats->read_hits, stats->read_misses, stats->write_hits, stats->write_misses,
+         stats->evictions, stats->dirty_writebacks);
     }
-    if (!r.f64(cr.compute_seconds) || !r.f64(cr.l2_hit_seconds) || !r.f64(cr.stall_seconds) ||
-        !r.f64(cr.tlb_seconds) || !r.f64(cr.isolated_seconds)) {
-      return false;
-    }
+    io(cr.trace.memory_accesses, cr.trace.l2_hit_accesses, cr.trace.memory_read_bytes,
+       cr.trace.memory_write_bytes, cr.trace.tlb_misses, cr.trace.rows, cr.trace.nnz);
+    io(cr.compute_seconds, cr.l2_hit_seconds, cr.stall_seconds, cr.tlb_seconds,
+       cr.isolated_seconds);
   }
-  if (!r.f64(result.seconds) || !r.f64(result.gflops)) return false;
-  for (bytes_t& bytes : result.mc_bytes) {
-    if (!r.u64(bytes)) return false;
+  io(result.seconds, result.gflops, result.mc_bytes, result.mc_seconds, result.bandwidth_bound,
+     result.mesh.total_link_bytes, result.mesh.max_link_bytes);
+  io.length(result.mesh.hot_links, 64);
+  for (auto& load : result.mesh.hot_links) {
+    io(load.link.from.x, load.link.from.y, load.link.to.x, load.link.to.y, load.bytes);
   }
-  for (double& seconds : result.mc_seconds) {
-    if (!r.f64(seconds)) return false;
-  }
-  if (!r.boolean(result.bandwidth_bound)) return false;
-  if (!r.u64(result.mesh.total_link_bytes) || !r.u64(result.mesh.max_link_bytes)) return false;
-  std::uint64_t link_count = 0;
-  if (!r.u64(link_count) || link_count > 64) return false;
-  result.mesh.hot_links.resize(link_count);
-  for (noc::Mesh::LinkLoad& load : result.mesh.hot_links) {
-    if (!read_i32(r, load.link.from.x) || !read_i32(r, load.link.from.y) ||
-        !read_i32(r, load.link.to.x) || !read_i32(r, load.link.to.y) || !r.u64(load.bytes)) {
-      return false;
-    }
-  }
-  if (!read_i32(r, result.dead_count) || !r.u64(result.reshipped_bytes) ||
-      !r.f64(result.recovery_seconds)) {
-    return false;
-  }
-  std::uint64_t verify = 0;
-  std::uint64_t outcome = 0;
-  if (!r.u64(verify) || verify > static_cast<std::uint64_t>(integrity::VerifyMode::kCorrect) ||
-      !r.u64(outcome) ||
-      outcome > static_cast<std::uint64_t>(integrity::Outcome::kUnrecoverable)) {
-    return false;
-  }
-  result.verify = static_cast<integrity::VerifyMode>(verify);
-  result.outcome = static_cast<integrity::Outcome>(outcome);
-  return r.boolean(result.sdc_injected) && r.boolean(result.sdc_significant) &&
-         read_i32(r, result.verify_attempts) && r.f64(result.verify_seconds) &&
-         r.f64(result.recompute_seconds) && r.f64(result.verify_residual) &&
-         r.f64(result.verify_tolerance);
-}
-
-std::uint64_t payload_checksum(const std::string& payload) {
-  common::Fnv1a hash;
-  hash.bytes(payload.data(), payload.size());
-  return hash.value();
+  io(result.dead_count, result.reshipped_bytes, result.recovery_seconds);
+  io.bounded(result.verify, integrity::VerifyMode::kOff, integrity::VerifyMode::kCorrect);
+  io.bounded(result.outcome, integrity::Outcome::kClean, integrity::Outcome::kUnrecoverable);
+  io(result.sdc_injected, result.sdc_significant, result.verify_attempts, result.verify_seconds,
+     result.recompute_seconds, result.verify_residual, result.verify_tolerance);
 }
 
 }  // namespace
 
 bool RunCache::save_snapshot(const std::string& path) const {
-  // Serialize each live entry separately so the byte cap can drop whole
+  // Encode each live entry separately so the byte cap can drop whole
   // entries, oldest generation first, without re-walking the shards.
   struct PendingEntry {
     std::uint64_t generation = 0;
-    std::string bytes;
+    common::FrameWriter encoded;
   };
   std::vector<PendingEntry> pending;
   for (const Shard& shard : shards_) {
@@ -572,13 +405,10 @@ bool RunCache::save_snapshot(const std::string& path) const {
       const Slot& slot = shard.slots[i];
       const std::shared_ptr<const Entry> entry = slot.entry.load(std::memory_order_acquire);
       if (entry == nullptr) continue;
-      SnapshotWriter one;
-      one.u64(slot.generation.load(std::memory_order_relaxed));
-      one.u64(entry->key.matrix);
-      one.u64(entry->key.spec);
-      write_result(one, entry->result);
-      pending.push_back(
-          {slot.generation.load(std::memory_order_relaxed), std::string(one.buffer())});
+      PendingEntry& one = pending.emplace_back();
+      one.generation = slot.generation.load(std::memory_order_relaxed);
+      one.encoded(one.generation, entry->key.matrix, entry->key.spec);
+      transfer(one.encoded, entry->result);
     }
   }
   // Newest epochs first; stable, so the shard scan order breaks ties and the
@@ -588,36 +418,19 @@ bool RunCache::save_snapshot(const std::string& path) const {
                      return a.generation > b.generation;
                    });
 
-  constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8;
-  SnapshotWriter payload;
-  std::uint64_t entry_count = 0;
-  for (const PendingEntry& entry : pending) {
-    if (max_snapshot_bytes_ != 0 &&
-        kHeaderBytes + payload.buffer().size() + entry.bytes.size() > max_snapshot_bytes_) {
-      break;  // the rest are the oldest generations: compacted away
-    }
-    payload.raw(entry.bytes.data(), entry.bytes.size());
-    ++entry_count;
+  std::size_t file_bytes = common::kFrameHeaderBytes + kWord;
+  std::size_t kept = 0;
+  for (; kept < pending.size(); ++kept) {
+    file_bytes += pending[kept].encoded.data().size();
+    // The rest are the oldest generations: compacted away.
+    if (max_snapshot_bytes_ != 0 && file_bytes > max_snapshot_bytes_) break;
   }
-
-  SnapshotWriter header;
-  header.u64(std::bit_cast<std::uint64_t>(kSnapshotMagic));
-  header.u32(kSnapshotVersion);
-  header.u64(entry_count);
-  header.u64(payload.buffer().size());
-  header.u64(payload_checksum(payload.buffer()));
-
-  // Write-then-rename so a crash mid-save never leaves a torn snapshot
-  // behind for the next process to reject.
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream file(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!file.good()) return false;
-    file.write(header.buffer().data(), static_cast<std::streamsize>(header.buffer().size()));
-    file.write(payload.buffer().data(), static_cast<std::streamsize>(payload.buffer().size()));
-    if (!file.good()) return false;
+  common::FrameWriter payload;
+  payload(kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    payload.bytes(pending[i].encoded.data().data(), pending[i].encoded.data().size());
   }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) return false;
+  if (!common::write_framed_file(path, kSnapshotFormat, {payload.data()})) return false;
   // A successful save closes this epoch: entries not inserted or hit after
   // this point belong to older generations and compact away first.
   generation_.fetch_add(1, std::memory_order_relaxed);
@@ -625,49 +438,24 @@ bool RunCache::save_snapshot(const std::string& path) const {
 }
 
 bool RunCache::load_snapshot(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file.good()) return false;
-  std::string data((std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
-
-  SnapshotReader header(data);
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  std::uint64_t entry_count = 0;
-  std::uint64_t payload_size = 0;
-  std::uint64_t checksum = 0;
-  if (!header.u64(magic) || !header.u32(version) || !header.u64(entry_count) ||
-      !header.u64(payload_size) || !header.u64(checksum)) {
-    return false;
-  }
-  if (magic != std::bit_cast<std::uint64_t>(kSnapshotMagic)) return false;
-  if (version != kSnapshotVersion) return false;
-  if (entry_count > kMaxSnapshotEntries) return false;
-  constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8;
-  if (data.size() != kHeaderBytes + payload_size) return false;
-  const std::string payload = data.substr(kHeaderBytes);
-  if (payload_checksum(payload) != checksum) return false;
-
-  // Parse everything before inserting anything: a snapshot is applied
-  // all-or-nothing.
   struct LoadedEntry {
     std::uint64_t generation = 0;
     RunKey key;
     RunResult result;
   };
   std::vector<LoadedEntry> entries;
-  entries.reserve(static_cast<std::size_t>(entry_count));
-  SnapshotReader reader(payload);
   std::uint64_t newest_generation = 0;
-  for (std::uint64_t i = 0; i < entry_count; ++i) {
-    LoadedEntry entry;
-    if (!reader.u64(entry.generation) || !reader.u64(entry.key.matrix) ||
-        !reader.u64(entry.key.spec) || !read_result(reader, entry.result)) {
-      return false;
-    }
-    newest_generation = std::max(newest_generation, entry.generation);
-    entries.push_back(std::move(entry));
-  }
-  if (!reader.exhausted()) return false;
+  const bool intact =
+      common::read_framed_file(path, kSnapshotFormat, [&](common::FrameReader& in) {
+        // An entry takes at least its generation and key words.
+        for (std::uint64_t n = in.count(3 * kWord); n > 0; --n) {
+          LoadedEntry& entry = entries.emplace_back();
+          in(entry.generation, entry.key.matrix, entry.key.spec);
+          transfer(in, entry.result);
+          newest_generation = std::max(newest_generation, entry.generation);
+        }
+      });
+  if (!intact) return false;
 
   // Entries keep their persisted epochs; new activity lands in the epoch
   // after the newest persisted one, so re-saving still ages the stale tail.

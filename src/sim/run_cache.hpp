@@ -45,14 +45,14 @@
 // counters are per-shard atomics aggregated on demand into Stats, so
 // engines sharing one cache never contend or double-count.
 //
-// Persistence: a RunCacheConfig::persist_path names a versioned,
-// checksummed snapshot file (host-endian; see run_cache.cpp for the
-// layout). The cache loads it on construction and rewrites it on
-// destruction (or explicitly via save_snapshot), so repeated sweeps
-// amortize simulations *across processes*. Corrupt, truncated or
-// version-mismatched snapshots are rejected cleanly and leave the cache
-// empty. A hit returns a deep copy of the stored RunResult, bit-exact
-// versus a cold simulation -- also after a snapshot round trip.
+// Persistence: a RunCacheConfig::persist_path names a snapshot file, a
+// common::framed_file (run_cache.cpp has the payload layout). The cache
+// loads it on construction and rewrites it on destruction (or explicitly
+// via save_snapshot), so repeated sweeps amortize simulations *across
+// processes*. Corrupt, truncated or version-mismatched snapshots are
+// rejected cleanly and leave the cache as it was. A hit returns a deep copy
+// of the stored RunResult, bit-exact versus a cold simulation -- also after
+// a snapshot round trip.
 #pragma once
 
 #include <array>
@@ -144,7 +144,8 @@ class RunCache {
   /// generation tag for byte-capped compaction.
   /// v3: RunKey covers the verify/SDC knobs (plus matrix values when
   /// verification is live) and RunResult carries the ABFT fields.
-  static constexpr std::uint32_t kSnapshotVersion = 3;
+  /// v4: the common::framed_file framing.
+  static constexpr std::uint32_t kSnapshotVersion = 4;
   /// Bound of the replay table, per entry of whole-run capacity: a default
   /// cache keeps up to 1,024 replays, about 300 bytes each.
   static constexpr std::size_t kReplaysPerEntry = 8;
@@ -209,7 +210,7 @@ class RunCache {
   std::uint64_t misses() const;
   std::uint64_t evictions() const;
 
-  /// Write every live entry into `path` (atomically: tmp file + rename).
+  /// Write every live entry into `path` (atomically: temp file + rename).
   /// Returns false when the file cannot be written.
   bool save_snapshot(const std::string& path) const;
 

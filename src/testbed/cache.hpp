@@ -2,8 +2,9 @@
 //
 // Every bench binary walks the full 32-matrix suite; regenerating ~20M
 // nonzeros per process would dominate their runtime. The cache stores the
-// raw CSR arrays with a small header; load is a few memcpy-speed reads.
-// Corrupt or stale (version-mismatched) files are ignored and rebuilt.
+// raw CSR arrays as a checksummed common::framed_file whose name carries the
+// format version; a load reads them straight into the matrix. Corrupt or
+// stale files are ignored and rebuilt.
 #pragma once
 
 #include <optional>
@@ -17,7 +18,7 @@ namespace scc::testbed {
 /// the current working directory. Created on first store.
 std::string cache_directory();
 
-/// Stable file name for (matrix name, scale).
+/// Stable file name for (matrix name, scale, format version).
 std::string cache_key(const std::string& name, double scale);
 
 /// Load a cached matrix; nullopt when absent or unreadable.

@@ -1,14 +1,11 @@
 #include "tune/cache.hpp"
 
+#include <array>
 #include <bit>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <iterator>
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/hash.hpp"
+#include "common/framed_file.hpp"
 
 namespace scc::tune {
 
@@ -89,197 +86,72 @@ std::size_t TuningCache::size() const {
 
 // ---- Snapshot persistence ----
 //
-// Layout (host-endian, like the run cache's; version + checksum guard):
-//
-//   8 bytes  magic "SCCTUNE\n"
-//   u32      kSnapshotVersion
-//   u64      decision count
-//   u64      class-winner count
-//   u64      payload byte count
-//   u64      FNV-1a checksum of the payload
-//   payload  decisions (key + fields), then class winners (key + candidate)
+// A snapshot is a common::framed_file whose payload holds the decisions
+// (count, then key and fields of each) and then the class winners (count,
+// then key and candidate of each), both in FIFO order, so a restored cache
+// evicts the same keys as the cache that saved it.
 
 namespace {
 
-constexpr char kSnapshotMagic[8] = {'S', 'C', 'C', 'T', 'U', 'N', 'E', '\n'};
-constexpr std::uint64_t kMaxSnapshotEntries = 1u << 20;
+constexpr common::FrameFormat kSnapshotFormat{
+    .magic = std::bit_cast<std::uint64_t>(std::array{'S', 'C', 'C', 'T', 'U', 'N', 'E', '\n'}),
+    .version = TuningCache::kSnapshotVersion};
+/// Every field is one word: a decision takes 11, a class winner 5.
+constexpr std::size_t kDecisionBytes = 11 * sizeof(std::uint64_t);
+constexpr std::size_t kWinnerBytes = 5 * sizeof(std::uint64_t);
 
-class Writer {
- public:
-  void u32(std::uint32_t value) { raw(&value, sizeof value); }
-  void u64(std::uint64_t value) { raw(&value, sizeof value); }
-  void i64(std::int64_t value) { u64(static_cast<std::uint64_t>(value)); }
-  void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
-  void boolean(bool value) { u64(value ? 1 : 0); }
-  const std::string& buffer() const { return buffer_; }
-
- private:
-  void raw(const void* data, std::size_t size) {
-    buffer_.append(static_cast<const char*>(data), size);
-  }
-  std::string buffer_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-  bool u32(std::uint32_t& value) { return raw(&value, sizeof value); }
-  bool u64(std::uint64_t& value) { return raw(&value, sizeof value); }
-  bool i64(std::int64_t& value) {
-    std::uint64_t bits = 0;
-    if (!u64(bits)) return false;
-    value = static_cast<std::int64_t>(bits);
-    return true;
-  }
-  bool f64(double& value) {
-    std::uint64_t bits = 0;
-    if (!u64(bits)) return false;
-    value = std::bit_cast<double>(bits);
-    return true;
-  }
-  bool boolean(bool& value) {
-    std::uint64_t bits = 0;
-    if (!u64(bits)) return false;
-    value = bits != 0;
-    return true;
-  }
-  bool exhausted() const { return pos_ == data_.size(); }
-
- private:
-  bool raw(void* out, std::size_t size) {
-    if (data_.size() - pos_ < size) return false;
-    std::memcpy(out, data_.data() + pos_, size);
-    pos_ += size;
-    return true;
-  }
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-void write_candidate(Writer& w, const Candidate& c) {
-  w.u64(static_cast<std::uint64_t>(c.format));
-  w.u64(static_cast<std::uint64_t>(c.reorder));
-  w.i64(c.ue_count);
-  w.u64(static_cast<std::uint64_t>(c.policy));
+/// The payload's two records, once for both directions: `io` is a
+/// FrameWriter (save; the records are then const) or a FrameReader (load).
+template <typename Io, typename C>
+void transfer(Io& io, C& candidate) {
+  io.bounded(candidate.format, sim::StorageFormat::kCsr, sim::StorageFormat::kHyb);
+  io.bounded(candidate.reorder, sim::Reordering::kNone, sim::Reordering::kRcmRows);
+  io.bounded(candidate.ue_count, 1, 48);
+  io.bounded(candidate.policy, chip::MappingPolicy::kStandard,
+             chip::MappingPolicy::kContentionAware);
 }
 
-bool read_candidate(Reader& r, Candidate& c) {
-  std::uint64_t format = 0;
-  std::uint64_t reorder = 0;
-  std::int64_t ue_count = 0;
-  std::uint64_t policy = 0;
-  if (!r.u64(format) || !r.u64(reorder) || !r.i64(ue_count) || !r.u64(policy)) return false;
-  if (format > static_cast<std::uint64_t>(sim::StorageFormat::kHyb)) return false;
-  if (reorder > static_cast<std::uint64_t>(sim::Reordering::kRcmRows)) return false;
-  if (ue_count < 1 || ue_count > 48) return false;
-  if (policy > static_cast<std::uint64_t>(chip::MappingPolicy::kContentionAware)) return false;
-  c.format = static_cast<sim::StorageFormat>(format);
-  c.reorder = static_cast<sim::Reordering>(reorder);
-  c.ue_count = static_cast<int>(ue_count);
-  c.policy = static_cast<chip::MappingPolicy>(policy);
-  return true;
-}
-
-std::uint64_t payload_checksum(const std::string& payload) {
-  common::Fnv1a hash;
-  hash.bytes(payload.data(), payload.size());
-  return hash.value();
+template <typename Io, typename Key, typename D>
+void transfer(Io& io, Key& key, D& decision) {
+  io(key.matrix, key.context);
+  transfer(io, decision.choice);
+  io(decision.modeled_seconds, decision.baseline_seconds, decision.class_key, decision.predicted,
+     decision.explored_runs);
 }
 
 }  // namespace
 
 bool TuningCache::save_snapshot(const std::string& path) const {
-  Writer payload;
-  std::uint64_t decision_count = 0;
-  std::uint64_t class_count = 0;
+  common::FrameWriter payload;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [key, decision] : decisions_) {
-      payload.u64(key.matrix);
-      payload.u64(key.context);
-      write_candidate(payload, decision.choice);
-      payload.f64(decision.modeled_seconds);
-      payload.f64(decision.baseline_seconds);
-      payload.u64(decision.class_key);
-      payload.boolean(decision.predicted);
-      payload.i64(decision.explored_runs);
-      ++decision_count;
-    }
-    for (const auto& [key, candidate] : class_winners_) {
-      payload.u64(key);
-      write_candidate(payload, candidate);
-      ++class_count;
+    payload(insertion_order_.size());
+    for (const TuningKey& key : insertion_order_) transfer(payload, key, decisions_.at(key));
+    payload(class_order_.size());
+    for (const std::uint64_t key : class_order_) {
+      payload(key);
+      transfer(payload, class_winners_.at(key));
     }
   }
-
-  Writer header;
-  header.u64(std::bit_cast<std::uint64_t>(kSnapshotMagic));
-  header.u32(kSnapshotVersion);
-  header.u64(decision_count);
-  header.u64(class_count);
-  header.u64(payload.buffer().size());
-  header.u64(payload_checksum(payload.buffer()));
-
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream file(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!file.good()) return false;
-    file.write(header.buffer().data(), static_cast<std::streamsize>(header.buffer().size()));
-    file.write(payload.buffer().data(), static_cast<std::streamsize>(payload.buffer().size()));
-    if (!file.good()) return false;
-  }
-  return std::rename(tmp_path.c_str(), path.c_str()) == 0;
+  return common::write_framed_file(path, kSnapshotFormat, {payload.data()});
 }
 
 bool TuningCache::load_snapshot(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file.good()) return false;
-  std::string data((std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
-
-  Reader header(data);
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  std::uint64_t decision_count = 0;
-  std::uint64_t class_count = 0;
-  std::uint64_t payload_size = 0;
-  std::uint64_t checksum = 0;
-  if (!header.u64(magic) || !header.u32(version) || !header.u64(decision_count) ||
-      !header.u64(class_count) || !header.u64(payload_size) || !header.u64(checksum)) {
-    return false;
-  }
-  if (magic != std::bit_cast<std::uint64_t>(kSnapshotMagic)) return false;
-  if (version != kSnapshotVersion) return false;
-  if (decision_count > kMaxSnapshotEntries || class_count > kMaxSnapshotEntries) return false;
-  constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 8 + 8;
-  if (data.size() != kHeaderBytes + payload_size) return false;
-  const std::string payload = data.substr(kHeaderBytes);
-  if (payload_checksum(payload) != checksum) return false;
-
   std::vector<std::pair<TuningKey, TuningDecision>> decisions;
-  decisions.reserve(static_cast<std::size_t>(decision_count));
   std::vector<std::pair<std::uint64_t, Candidate>> winners;
-  winners.reserve(static_cast<std::size_t>(class_count));
-  Reader reader(payload);
-  for (std::uint64_t i = 0; i < decision_count; ++i) {
-    TuningKey key;
-    TuningDecision decision;
-    std::int64_t explored = 0;
-    if (!reader.u64(key.matrix) || !reader.u64(key.context) ||
-        !read_candidate(reader, decision.choice) || !reader.f64(decision.modeled_seconds) ||
-        !reader.f64(decision.baseline_seconds) || !reader.u64(decision.class_key) ||
-        !reader.boolean(decision.predicted) || !reader.i64(explored)) {
-      return false;
-    }
-    decision.explored_runs = static_cast<int>(explored);
-    decisions.emplace_back(key, decision);
-  }
-  for (std::uint64_t i = 0; i < class_count; ++i) {
-    std::uint64_t key = 0;
-    Candidate candidate;
-    if (!reader.u64(key) || !read_candidate(reader, candidate)) return false;
-    winners.emplace_back(key, candidate);
-  }
-  if (!reader.exhausted()) return false;
+  const bool intact =
+      common::read_framed_file(path, kSnapshotFormat, [&](common::FrameReader& in) {
+        for (std::uint64_t n = in.count(kDecisionBytes); n > 0; --n) {
+          auto& [key, decision] = decisions.emplace_back();
+          transfer(in, key, decision);
+        }
+        for (std::uint64_t n = in.count(kWinnerBytes); n > 0; --n) {
+          auto& [key, candidate] = winners.emplace_back();
+          in(key);
+          transfer(in, candidate);
+        }
+      });
+  if (!intact) return false;
 
   for (const auto& [key, decision] : decisions) insert(key, decision);
   for (const auto& [key, candidate] : winners) note_class_winner(key, candidate);

@@ -6,7 +6,7 @@
 // so millions of requests -- and every serving layer sharing the pool --
 // amortize that single exploration. The cache is bounded (FIFO eviction,
 // deterministic), thread-safe (serve and cluster simulators consult it from
-// concurrent sweeps), and snapshot-persistable alongside --run-cache-file so
+// concurrent sweeps), and snapshot-persistable (a common::framed_file) so
 // warm tuning decisions survive across processes. It also carries the class
 // winner table backing the Kimball-style fast path: structural class ->
 // last winning candidate, letting familiar structure skip full exploration.
@@ -64,8 +64,9 @@ struct TuningCacheConfig {
 class TuningCache {
  public:
   /// Snapshot format version; bumped on any layout change so stale files
-  /// are rejected, never misread.
-  static constexpr std::uint32_t kSnapshotVersion = 1;
+  /// are rejected, never misread. v2: the common::framed_file framing, with
+  /// both tables written in FIFO order.
+  static constexpr std::uint32_t kSnapshotVersion = 2;
 
   explicit TuningCache(const TuningCacheConfig& config = {});
   ~TuningCache();
@@ -94,10 +95,10 @@ class TuningCache {
   std::size_t capacity() const { return capacity_; }
   const std::string& persist_path() const { return persist_path_; }
 
-  /// Atomic (tmp + rename) snapshot of every decision and class winner.
+  /// Atomic snapshot of every decision and class winner, in FIFO order.
   bool save_snapshot(const std::string& path) const;
-  /// All-or-nothing merge of a snapshot through the bounded insert path;
-  /// false (cache untouched) on missing/corrupt/version-mismatched files.
+  /// All-or-nothing merge of a snapshot through the bounded insert path, in
+  /// FIFO order; false (cache untouched) on missing/corrupt/stale files.
   bool load_snapshot(const std::string& path);
 
  private:

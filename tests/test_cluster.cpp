@@ -1285,6 +1285,21 @@ TEST(ClusterFaultPlanJson, RejectsMalformedScenarios) {
           R"({"events": [{"kind": "bad_dram", "chip": 0, "rate": 2.0}]})"),
       std::invalid_argument);
   EXPECT_THROW(load_fault_plan_file("/nonexistent/plan.json"), std::invalid_argument);
+  // Integers outside int are rejected by name, never narrowed (2^32 + 1 would
+  // crash chip 1).
+  for (const char* text :
+       {R"({"events": [{"kind": "chip_crash", "chip": 4294967297, "seconds": 0.1}]})",
+        R"({"chips_per_domain": 4294967298})"}) {
+    try {
+      parse_fault_plan_json(text);
+      ADD_FAILURE() << text;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_TRUE(what.find("'chip'") != std::string::npos ||
+                  what.find("'chips_per_domain'") != std::string::npos)
+          << what;
+    }
+  }
 }
 
 // --- pinned report bytes ---

@@ -1052,7 +1052,7 @@ TEST(ReplayReuse, TableStaysWithinItsBoundEvictsOldestFirstAndClears) {
 }
 
 TEST(ReplayReuse, SnapshotsNeitherWriteNorNeedTheReplayTable) {
-  static_assert(RunCache::kSnapshotVersion == 3);
+  static_assert(RunCache::kSnapshotVersion == 4);
   const auto m = test_matrix();
   auto cache = std::make_shared<RunCache>(RunCacheConfig{8, 2, ""});
   Engine engine;

@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 
+#include "common/framed_file.hpp"
 #include "testbed/cache.hpp"
 
 namespace scc::testbed {
@@ -127,18 +128,26 @@ TEST_F(TestbedSuite, CacheIgnoresCorruptFile) {
   const std::string dir = cache_directory();
   std::filesystem::create_directories(dir);
   const std::string path = dir + "/" + cache_key("corrupt-test", 1.0);
-  // A well-formed header (magic, version 3) claiming 4x4 with 10^15
-  // nonzeros over an empty payload: must be a rebuild, not an allocation.
-  std::string huge_nnz;
-  const auto put = [&](auto value) {
-    huge_nnz.append(reinterpret_cast<const char*>(&value), sizeof value);
+  // A well-formed, correctly checksummed frame (magic, version 4) whose
+  // payload claims 4x4 with 10^15 nonzeros after a valid ptr array: must be
+  // a rebuild, not an allocation.
+  std::string payload;
+  const auto put = [](std::string& out, auto value) {
+    out.append(reinterpret_cast<const char*>(&value), sizeof value);
   };
-  put(std::uint64_t{0x5cc5bedf11e00001ULL});
-  put(std::uint32_t{3});
-  put(std::uint32_t{0});
-  put(std::int64_t{4});
-  put(std::int64_t{4});
-  put(std::int64_t{1'000'000'000'000'000});
+  put(payload, std::int64_t{4});
+  put(payload, std::int64_t{4});
+  put(payload, std::int64_t{1'000'000'000'000'000});
+  for (int i = 0; i < 5; ++i) put(payload, std::int64_t{0});
+  common::FrameChecksum checksum;
+  checksum.update(payload.data(), payload.size());
+  std::string huge_nnz;
+  put(huge_nnz, std::uint64_t{0x5cc5bedf11e00001ULL});
+  put(huge_nnz, std::uint32_t{4});
+  put(huge_nnz, std::uint32_t{0});
+  put(huge_nnz, std::uint64_t{payload.size()});
+  put(huge_nnz, checksum.value());
+  huge_nnz += payload;
   for (const std::string& bytes : {std::string("garbage"), huge_nnz}) {
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -317,6 +317,9 @@ TEST(CliServe, NumericFlagsMustParseWhole) {
   };
   expect_error({"serve", "--requests=20x"}, "--requests expects an integer, got '20x'");
   expect_error({"serve", "--load=fast"}, "--load expects a number, got 'fast'");
+  // 2^32 + 20 would narrow to 20 requests.
+  expect_error({"serve", "--requests=4294967316"},
+               "--requests is out of range, got '4294967316'");
 }
 
 TEST(CliServe, SizeFlagsRejectNegatives) {

@@ -244,6 +244,29 @@ TEST(TuneCache, BoundedFifoEvictsOldestDecisionFirst) {
   }
 }
 
+TEST(TuneCache, SnapshotRoundTripKeepsFifoEvictionOrder) {
+  SnapshotFile file;
+  tune::TuningCacheConfig config;
+  config.capacity = 2;
+  tune::TuningCache live(config);
+  for (const std::uint64_t key : {5u, 1u}) {
+    live.insert(tune::TuningKey{key, 0}, stub_decision(1e-3));
+    live.note_class_winner(key, tune::Candidate{});
+  }
+  ASSERT_TRUE(live.save_snapshot(file.path));
+  tune::TuningCache restored(config);
+  ASSERT_TRUE(restored.load_snapshot(file.path));
+  // Both caches evict their oldest key, 5, not the smallest.
+  for (tune::TuningCache* cache : {&live, &restored}) {
+    cache->insert(tune::TuningKey{9, 0}, stub_decision(1e-3));
+    cache->note_class_winner(9, tune::Candidate{});
+    EXPECT_FALSE(cache->lookup(tune::TuningKey{5, 0}).has_value());
+    EXPECT_TRUE(cache->lookup(tune::TuningKey{1, 0}).has_value());
+    EXPECT_FALSE(cache->class_winner(5).has_value());
+    EXPECT_TRUE(cache->class_winner(1).has_value());
+  }
+}
+
 TEST(TuneCache, SnapshotRoundTripsDecisionsAndClassWinners) {
   SnapshotFile file;
   tune::TuningCache cache;

@@ -39,30 +39,29 @@ namespace {
 
 sparse::CsrMatrix build_family(const CliArgs& args) {
   const std::string family = args.get_or("family", "banded");
-  const auto n = static_cast<index_t>(args.get_int_or("n", 10000));
+  const auto n = args.get_int_or("n", 10000);
   const std::uint64_t seed = seed_option(args, 1);
   if (family == "banded") {
-    return gen::banded(n, static_cast<index_t>(args.get_int_or("half-bandwidth", 20)),
+    return gen::banded(n, args.get_int_or("half-bandwidth", 20),
                        args.get_double_or("fill", 0.4), seed);
   }
   if (family == "stencil2d") {
-    const auto side = static_cast<index_t>(args.get_int_or("side", 100));
+    const auto side = args.get_int_or("side", 100);
     return gen::stencil_2d(side, side);
   }
   if (family == "stencil3d") {
-    const auto side = static_cast<index_t>(args.get_int_or("side", 22));
+    const auto side = args.get_int_or("side", 22);
     return gen::stencil_3d(side, side, side);
   }
   if (family == "fem") {
-    return gen::fem_blocks(static_cast<index_t>(args.get_int_or("blocks", 500)),
-                           static_cast<index_t>(args.get_int_or("block-size", 8)),
-                           static_cast<index_t>(args.get_int_or("couplings", 3)), seed);
+    return gen::fem_blocks(args.get_int_or("blocks", 500), args.get_int_or("block-size", 8),
+                           args.get_int_or("couplings", 3), seed);
   }
   if (family == "random") {
-    return gen::random_uniform(n, static_cast<index_t>(args.get_int_or("row-nnz", 10)), seed);
+    return gen::random_uniform(n, args.get_int_or("row-nnz", 10), seed);
   }
   if (family == "power-law") {
-    return gen::power_law(n, static_cast<index_t>(args.get_int_or("avg-row-nnz", 10)),
+    return gen::power_law(n, args.get_int_or("avg-row-nnz", 10),
                           args.get_double_or("alpha", 1.2), seed);
   }
   if (family == "circuit") {
@@ -80,8 +79,7 @@ sparse::CsrMatrix load_input(const CliArgs& args) {
     return sparse::read_matrix_market_file(*path);
   }
   if (args.has("id")) {
-    return testbed::build_entry(static_cast<int>(args.get_int_or("id", 1)),
-                                testbed::suite_scale_from_env())
+    return testbed::build_entry(args.get_int_or("id", 1), testbed::suite_scale_from_env())
         .matrix;
   }
   SCC_REQUIRE(false, "provide --matrix <file.mtx> or --id <1..32>");
@@ -213,7 +211,7 @@ serve::WorkloadSpec workload_from(const CliArgs& args) {
   serve::WorkloadSpec workload;
   workload.seed = seed_option(args, workload.seed);
   workload.offered_rps = args.get_double_or("load", workload.offered_rps);
-  workload.request_count = static_cast<int>(args.get_int_or("requests", workload.request_count));
+  workload.request_count = args.get_int_or("requests", workload.request_count);
   if (const auto mix = args.get("mix")) {
     workload.matrix_mix = parse_int_list(*mix, "--mix");
   }
@@ -243,11 +241,11 @@ serve::ServeConfig serve_config_from(const CliArgs& args) {
   serve::ServeConfig config;
   config.policy = serve::parse_policy(args.get_or("policy", "matrix-aware"));
   config.admission.max_queue_depth =
-      static_cast<int>(args.get_int_or("queue-depth", config.admission.max_queue_depth));
+      args.get_int_or("queue-depth", config.admission.max_queue_depth);
   config.admission.interactive_reserve =
-      static_cast<int>(args.get_int_or("reserve", config.admission.interactive_reserve));
+      args.get_int_or("reserve", config.admission.interactive_reserve);
   config.batching = args.get_bool_or("batch", config.batching);
-  config.batch_max = static_cast<int>(args.get_int_or("batch-max", config.batch_max));
+  config.batch_max = args.get_int_or("batch-max", config.batch_max);
   config.engine.freq = conf_from(args);
   config.autotune = args.get_bool_or("autotune", config.autotune);
   config.tuning = tuning_config_from(args);
@@ -356,8 +354,7 @@ void parse_fault_plan(const CliArgs& args, cluster::FaultPlan& plan) {
   });
   plan.sdc_rate = args.get_double_or("sdc-rate", plan.sdc_rate);
   plan.sdc_sticky_rate = args.get_double_or("sdc-sticky", plan.sdc_sticky_rate);
-  plan.chips_per_domain =
-      static_cast<int>(args.get_int_or("chips-per-domain", plan.chips_per_domain));
+  plan.chips_per_domain = args.get_int_or("chips-per-domain", plan.chips_per_domain);
   plan.restart_downtime_seconds =
       args.get_double_or("restart-downtime", plan.restart_downtime_seconds);
   plan.crash_rate = args.get_double_or("crash-rate", plan.crash_rate);
@@ -394,7 +391,7 @@ int cmd_generate(const CliArgs& args, std::ostream& out) {
 
 int cmd_testbed(const CliArgs& args, std::ostream& out) {
   const OutputOptions output = parse_output_options(args);
-  const int id = static_cast<int>(args.get_int_or("id", 1));
+  const int id = args.get_int_or("id", 1);
   const auto entry = testbed::build_entry(id, testbed::suite_scale_from_env());
   const std::string path = args.get_or("out", entry.name + ".mtx");
   sparse::write_matrix_market_file(path, entry.matrix);
@@ -452,7 +449,7 @@ int cmd_simulate(const CliArgs& args, std::ostream& out) {
   sim::EngineConfig cfg;
   cfg.freq = conf_from(args);
   const sim::Engine engine(cfg);
-  const int cores = static_cast<int>(args.get_int_or("cores", 24));
+  const int cores = args.get_int_or("cores", 24);
   const auto policy = mapping_from(args);
   const auto format = format_from(args);
 
@@ -463,7 +460,7 @@ int cmd_simulate(const CliArgs& args, std::ostream& out) {
   spec.format = format;
   spec.verify = verify_mode_from(args);
   spec.sdc = sdc_plan_from(args);
-  spec.sdc_site = static_cast<std::uint64_t>(args.get_int_or("sdc-site", 0));
+  spec.sdc_site = args.get_size_or("sdc-site", 0);
   if (output.json() || !output.trace_path.empty()) spec.recorder = &recorder;
   const auto r = engine.run(m, spec);
   write_trace(output, recorder);
@@ -526,14 +523,14 @@ int cmd_convert(const CliArgs& args, std::ostream& out) {
 int cmd_resilience(const CliArgs& args, std::ostream& out) {
   const OutputOptions output = parse_output_options(args);
   const auto m = (args.has("matrix") || args.has("id")) ? load_input(args) : build_family(args);
-  const int ues = static_cast<int>(args.get_int_or("ues", 8));
+  const int ues = args.get_int_or("ues", 8);
 
   fault::Plan plan;
   // --fault-seed keeps its historical meaning; the shared --seed flag is the
   // fallback so one flag reproduces a whole pipeline of commands.
   plan.seed = args.has("fault-seed") ? parse_seed(args.get_or("fault-seed", ""))
                                      : seed_option(args, 0x5cc);
-  const auto kill_op = static_cast<std::uint64_t>(args.get_int_or("kill-op", 4));
+  const auto kill_op = args.get_size_or("kill-op", 4);
   for (const int rank : parse_int_list(args.get_or("kill-ranks", ""), "--kill-ranks")) {
     SCC_REQUIRE(rank > 0 && rank < ues,
                 "--kill-ranks entries must be survivable worker ranks (1.." << ues - 1 << ")");
@@ -753,21 +750,18 @@ int cmd_cluster(const CliArgs& args, std::ostream& out) {
                                       "--sdc-sticky, --bad-dram)");
   }
   cluster::ClusterConfig config;
-  config.chip_count = static_cast<int>(args.get_int_or("chips", config.chip_count));
+  config.chip_count = args.get_int_or("chips", config.chip_count);
   config.chip = serve_config_from(args);
   config.failover = args.get_bool_or("failover", config.failover);
-  config.retry.max_attempts =
-      static_cast<int>(args.get_int_or("retries", config.retry.max_attempts));
+  config.retry.max_attempts = args.get_int_or("retries", config.retry.max_attempts);
   config.hedge.enabled = args.get_bool_or("hedge", config.hedge.enabled);
   config.hedge.delay_seconds = args.get_double_or("hedge-delay", config.hedge.delay_seconds);
-  config.placement.replicas =
-      static_cast<int>(args.get_int_or("replicas", config.placement.replicas));
+  config.placement.replicas = args.get_int_or("replicas", config.placement.replicas);
   config.placement.reship_bandwidth_fraction =
       args.get_double_or("reship-bw", config.placement.reship_bandwidth_fraction);
-  config.placement.warmup_runs =
-      static_cast<int>(args.get_int_or("warmup-runs", config.placement.warmup_runs));
-  config.quarantine_threshold = static_cast<int>(
-      args.get_int_or("quarantine-threshold", config.quarantine_threshold));
+  config.placement.warmup_runs = args.get_int_or("warmup-runs", config.placement.warmup_runs);
+  config.quarantine_threshold =
+      args.get_int_or("quarantine-threshold", config.quarantine_threshold);
   SCC_REQUIRE(config.quarantine_threshold >= 0,
               "--quarantine-threshold must be >= 0 (0 disables quarantine)");
   parse_fault_plan(args, config.faults);
@@ -844,7 +838,7 @@ int cmd_autotune(const CliArgs& args, std::ostream& out) {
   std::vector<int> ids;
   if (!args.has("matrix")) {
     if (args.has("id")) {
-      ids = {static_cast<int>(args.get_int_or("id", 1))};
+      ids = {args.get_int_or("id", 1)};
     } else if (const auto mix = args.get("mix")) {
       ids = parse_int_list(*mix, "--mix");
     } else {
@@ -1087,7 +1081,7 @@ int run_cli(const CliArgs& args, std::ostream& out, std::ostream& err) {
       return 2;
     }
     if (args.has("sim-threads")) {
-      const int threads = static_cast<int>(args.get_int_or("sim-threads", 0));
+      const int threads = args.get_int_or("sim-threads", 0);
       SCC_REQUIRE(threads >= 1, "--sim-threads must be >= 1");
       common::set_sim_threads(threads);
     }
