@@ -75,6 +75,13 @@ class Cache {
   /// detail::Tracker::access.
   AccessResult access(std::uint64_t address, bool is_write);
 
+  /// A reference to the line the immediately preceding `access()` touched
+  /// (the caller guarantees it). That access left the line resident as its
+  /// set's most recently used way, so this is the MRU hit of `access()`
+  /// without the tag search: it counts the hit and, for a write, sets the
+  /// way's dirty bit. Nothing else changes.
+  void repeat(std::uint64_t address, bool is_write);
+
   /// Invalidate everything (the SCC has no coherence; software flushes).
   /// Dirty lines are counted as writebacks, as a software flush would cause.
   void flush();
@@ -173,6 +180,16 @@ inline AccessResult Cache::access(std::uint64_t address, bool is_write) {
     ++stats_.read_hits;
   }
   return AccessResult{.hit = true, .evicted_dirty = false};
+}
+
+inline void Cache::repeat(std::uint64_t address, bool is_write) {
+  if (!is_write) {
+    ++stats_.read_hits;
+    return;
+  }
+  const auto set = static_cast<std::size_t>((address >> line_shift_) & set_mask_);
+  dirty_[set * static_cast<std::size_t>(config_.ways) + mru_[set]] = 1;
+  ++stats_.write_hits;
 }
 
 inline AccessResult Cache::fill(std::size_t set, std::uint64_t tag, bool is_write) {

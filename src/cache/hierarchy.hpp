@@ -41,6 +41,10 @@ class Hierarchy {
   /// hot path (every simulated reference funnels through it).
   MemoryEffect access(std::uint64_t address, bool is_write);
 
+  /// A reference to the line of the immediately preceding `access()`: an L1
+  /// hit (Cache::repeat), which never reaches L2 or memory.
+  void repeat(std::uint64_t address, bool is_write) { l1_.repeat(address, is_write); }
+
   /// Software cache flush (the SCC's substitute for coherence). Dirty L2
   /// lines produce memory write traffic, returned in bytes.
   bytes_t flush();

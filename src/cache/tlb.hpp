@@ -26,6 +26,10 @@ class Tlb {
     return cache_.access(address, /*is_write=*/false).hit;
   }
 
+  /// A translation on the page of the immediately preceding `access()`: a
+  /// hit on its set's most recently used entry (Cache::repeat).
+  void repeat(std::uint64_t address) { cache_.repeat(address, /*is_write=*/false); }
+
   std::uint64_t hits() const { return cache_.stats().read_hits; }
   std::uint64_t misses() const { return cache_.stats().read_misses; }
 

@@ -1,6 +1,7 @@
 #include "cluster/fault_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -24,26 +25,57 @@ std::vector<int> domain_chips(const FaultPlan& plan, int domain, int chip_count)
 }
 
 FaultOracle::FaultOracle(FaultPlan plan) : plan_(std::move(plan)) {
+  // Every event happens at a finite time no earlier than the run's start,
+  // and every duration, period, downtime and horizon is finite: the
+  // simulators' clocks only move forward through finite times.
+  const auto require_time = [](double seconds, const char* field) {
+    SCC_REQUIRE(std::isfinite(seconds) && seconds >= 0.0,
+                field << " must be a finite time >= 0, got " << seconds);
+  };
+  const auto require_finite = [](double value, const char* field) {
+    SCC_REQUIRE(std::isfinite(value), field << " must be finite, got " << value);
+  };
   SCC_REQUIRE(plan_.crash_rate >= 0.0 && plan_.crash_rate <= 1.0,
               "crash_rate must be in [0,1]");
   SCC_REQUIRE(plan_.job_failure_rate >= 0.0 && plan_.job_failure_rate <= 1.0,
               "job_failure_rate must be in [0,1]");
+  require_finite(plan_.crash_horizon_seconds, "crash_horizon_seconds");
   SCC_REQUIRE(plan_.crash_rate == 0.0 || plan_.crash_horizon_seconds > 0.0,
               "stochastic crashes need a positive crash_horizon_seconds");
   SCC_REQUIRE(plan_.chips_per_domain >= 1, "chips_per_domain must be >= 1");
+  require_finite(plan_.restart_downtime_seconds, "restart_downtime_seconds");
   SCC_REQUIRE(plan_.restart_downtime_seconds >= 0.0,
               "restart_downtime_seconds must be non-negative");
+  require_finite(plan_.restart_jitter_fraction, "restart_jitter_fraction");
   SCC_REQUIRE(plan_.restart_jitter_fraction >= 0.0,
               "restart_jitter_fraction must be non-negative");
+  for (const ChipCrash& crash : plan_.chip_crashes) {
+    require_time(crash.seconds, "chip_crash seconds");
+  }
+  for (const ChipRestart& restart : plan_.chip_restarts) {
+    require_time(restart.seconds, "chip_restart seconds");
+  }
+  for (const TileKill& kill : plan_.tile_kills) require_time(kill.seconds, "tile_kill seconds");
+  for (const DomainOutage& outage : plan_.domain_outages) {
+    require_time(outage.seconds, "domain_outage seconds");
+  }
   for (const Brownout& b : plan_.brownouts) {
+    require_time(b.start_seconds, "brownout seconds");
+    require_finite(b.duration_seconds, "brownout duration_seconds");
+    require_finite(b.derate, "brownout derate");
     SCC_REQUIRE(b.derate >= 1.0, "brownout derate must be >= 1");
     SCC_REQUIRE(b.duration_seconds > 0.0, "brownout duration must be positive");
   }
   for (const DomainBrownout& b : plan_.domain_brownouts) {
+    require_time(b.start_seconds, "domain_brownout seconds");
+    require_finite(b.duration_seconds, "domain_brownout duration_seconds");
+    require_finite(b.derate, "domain_brownout derate");
     SCC_REQUIRE(b.derate >= 1.0, "domain brownout derate must be >= 1");
     SCC_REQUIRE(b.duration_seconds > 0.0, "domain brownout duration must be positive");
   }
   for (const ChipFlap& flap : plan_.chip_flaps) {
+    require_time(flap.start_seconds, "chip_flap seconds");
+    require_finite(flap.period_seconds, "chip_flap period_seconds");
     SCC_REQUIRE(flap.cycles >= 1, "flap cycles must be >= 1");
     SCC_REQUIRE(flap.period_seconds > 0.0, "flap period must be positive");
   }

@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <system_error>
 
@@ -46,17 +47,17 @@ std::string CliArgs::get_or(const std::string& key, const std::string& fallback)
 
 namespace {
 
-/// Parses all of `text` as a T; throws naming `--key` when it is empty, out
+/// Parses all of `text` as a T; throws naming `flag` when it is empty, out
 /// of T's range or has a tail (`20x`).
 template <typename T>
-T parse_whole(const std::string& key, const std::string& text, const char* expected) {
+T parse_whole(const std::string& flag, const std::string& text, const char* expected) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   SCC_REQUIRE(ec != std::errc::result_out_of_range,
-              "--" << key << " is out of range, got '" << text << "'");
+              flag << " is out of range, got '" << text << "'");
   SCC_REQUIRE(ec == std::errc() && ptr == end,
-              "--" << key << " expects " << expected << ", got '" << text << "'");
+              flag << " expects " << expected << ", got '" << text << "'");
   return value;
 }
 
@@ -64,20 +65,45 @@ T parse_whole(const std::string& key, const std::string& text, const char* expec
 
 int CliArgs::get_int_or(const std::string& key, int fallback) const {
   const auto value = get(key);
-  return value ? parse_whole<int>(key, *value, "an integer") : fallback;
+  return value ? parse_int_token("--" + key, *value) : fallback;
 }
 
 double CliArgs::get_double_or(const std::string& key, double fallback) const {
   const auto value = get(key);
-  return value ? parse_whole<double>(key, *value, "a number") : fallback;
+  return value ? parse_whole<double>("--" + key, *value, "a number") : fallback;
 }
 
 std::size_t CliArgs::get_size_or(const std::string& key, std::size_t fallback) const {
   const auto text = get(key);
   if (!text) return fallback;
-  const auto value = parse_whole<long long>(key, *text, "an integer");
+  const auto value = parse_whole<long long>("--" + key, *text, "an integer");
   SCC_REQUIRE(value >= 0, "--" << key << " must be non-negative, got " << value);
   return static_cast<std::size_t>(value);
+}
+
+int parse_int_token(const std::string& flag, const std::string& token) {
+  return parse_whole<int>(flag, token, "an integer");
+}
+
+double parse_finite_token(const std::string& flag, const std::string& token) {
+  const auto value = parse_whole<double>(flag, token, "a number");
+  SCC_REQUIRE(std::isfinite(value), flag << " expects a finite number, got '" << token << "'");
+  return value;
+}
+
+std::vector<std::string> split_items(const std::string& flag, const std::string& text,
+                                     char separator) {
+  std::vector<std::string> items;
+  if (text.empty()) return items;
+  std::size_t begin = 0;
+  while (true) {
+    const std::size_t end = text.find(separator, begin);
+    items.push_back(text.substr(begin, end == std::string::npos ? end : end - begin));
+    SCC_REQUIRE(!items.back().empty(),
+                flag << " has an empty item in '" << text << "'");
+    if (end == std::string::npos) return items;
+    begin = end + 1;
+  }
 }
 
 bool CliArgs::get_bool_or(const std::string& key, bool fallback) const {

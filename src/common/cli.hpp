@@ -48,6 +48,18 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
+/// One item of a list or `:`-separated flag value (`--mix=26,27`,
+/// `--crash=0:0.5`), parsed by the rules of CliArgs::get_int_or /
+/// get_double_or: the whole token must parse and fit its type, and a number
+/// must also be finite. Errors name `flag` (e.g. "--mix") and the token.
+int parse_int_token(const std::string& flag, const std::string& token);
+double parse_finite_token(const std::string& flag, const std::string& token);
+
+/// `text` split at every `separator`. An empty item (`1,,2`, `1,`, `,1`) is
+/// an error naming `flag`; empty `text` is the empty list.
+std::vector<std::string> split_items(const std::string& flag, const std::string& text,
+                                     char separator);
+
 /// How a command renders its result.
 enum class OutputFormat { kTable, kJson };
 

@@ -57,24 +57,15 @@ MessageSizeMismatchError::MessageSizeMismatchError(int source, int dest,
 
 namespace scc::detail {
 
-namespace {
-
-std::string compose(const char* expr, const char* file, int line, const std::string& message) {
-  std::ostringstream oss;
-  oss << message << " [check `" << expr << "` failed at " << file << ':' << line << ']';
-  return oss.str();
-}
-
-}  // namespace
-
-void throw_invalid_argument(const char* expr, const char* file, int line,
-                            const std::string& message) {
-  throw std::invalid_argument(compose(expr, file, line, message));
+void throw_invalid_argument(const std::string& message) {
+  throw std::invalid_argument(message);
 }
 
 void throw_logic_error(const char* expr, const char* file, int line,
                        const std::string& message) {
-  throw std::logic_error(compose(expr, file, line, message));
+  std::ostringstream oss;
+  oss << message << " [check `" << expr << "` failed at " << file << ':' << line << ']';
+  throw std::logic_error(oss.str());
 }
 
 }  // namespace scc::detail

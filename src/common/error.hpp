@@ -82,26 +82,27 @@ class MessageSizeMismatchError : public SimulationError {
 
 namespace detail {
 
-[[noreturn]] void throw_invalid_argument(const char* expr, const char* file, int line,
-                                         const std::string& message);
+[[noreturn]] void throw_invalid_argument(const std::string& message);
 [[noreturn]] void throw_logic_error(const char* expr, const char* file, int line,
                                     const std::string& message);
 
 }  // namespace detail
 }  // namespace scc
 
-/// Validate a user-supplied argument; throws std::invalid_argument on failure.
+/// Validate a user-supplied argument; throws std::invalid_argument carrying
+/// `message` alone: it reaches users (the CLI prints it), so it names the
+/// bad input, never the check or the source file.
 #define SCC_REQUIRE(expr, message)                                                  \
   do {                                                                              \
     if (!(expr)) {                                                                  \
       std::ostringstream scc_require_oss_;                                          \
       scc_require_oss_ << message; /* NOLINT */                                     \
-      ::scc::detail::throw_invalid_argument(#expr, __FILE__, __LINE__,              \
-                                            scc_require_oss_.str());                \
+      ::scc::detail::throw_invalid_argument(scc_require_oss_.str());                \
     }                                                                               \
   } while (false)
 
-/// Check an internal invariant; throws std::logic_error on failure.
+/// Check an internal invariant; throws std::logic_error on failure. A failure
+/// is a bug, so the message keeps the failed check and its source location.
 #define SCC_ASSERT(expr, message)                                                   \
   do {                                                                              \
     if (!(expr)) {                                                                  \

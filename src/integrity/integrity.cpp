@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -46,10 +47,9 @@ int index_width(index_t n) {
 /// Serial product with the row bounds clamped and order-checked, so a
 /// corrupted ptr array cannot read out of range (a hardened kernel would
 /// bound its loads the same way; rows with inverted bounds compute empty).
-std::vector<real_t> guarded_product(index_t rows, const std::vector<nnz_t>& ptr,
-                                    const std::vector<index_t>& col,
-                                    const std::vector<real_t>& val,
-                                    const std::vector<real_t>& x) {
+std::vector<real_t> guarded_product(index_t rows, std::span<const nnz_t> ptr,
+                                    std::span<const index_t> col, std::span<const real_t> val,
+                                    std::span<const real_t> x) {
   const auto nnz = static_cast<nnz_t>(col.size());
   std::vector<real_t> y(static_cast<std::size_t>(rows), 0.0);
   for (index_t r = 0; r < rows; ++r) {
@@ -113,9 +113,7 @@ std::vector<real_t> reference_x(index_t cols) {
 
 std::vector<real_t> serial_product(const sparse::CsrMatrix& a,
                                    const std::vector<real_t>& x) {
-  return guarded_product(a.rows(), {a.ptr().begin(), a.ptr().end()},
-                         {a.col().begin(), a.col().end()}, {a.val().begin(), a.val().end()},
-                         x);
+  return guarded_product(a.rows(), a.ptr(), a.col(), a.val(), x);
 }
 
 Check verify_product(const sparse::CsrMatrix& a, const std::vector<real_t>& x,

@@ -11,7 +11,6 @@
 #include "sim/format_traces.hpp"
 #include "sim/run_cache.hpp"
 #include "sparse/properties.hpp"
-#include "sparse/reorder.hpp"
 
 namespace scc::sim {
 
@@ -272,7 +271,7 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const RunSpec& sp
   // fingerprint of the permuted copy is ever needed.
   std::optional<sparse::CsrMatrix> reordered;
   if (spec.reorder != Reordering::kNone) {
-    reordered = matrix.permute_rows(sparse::reverse_cuthill_mckee(matrix));
+    reordered = matrix.permute_rows(matrix.rcm_order());
   }
   const sparse::CsrMatrix& replayed = reordered ? *reordered : matrix;
 

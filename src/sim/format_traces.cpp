@@ -1,7 +1,6 @@
 #include "sim/format_traces.hpp"
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -46,7 +45,7 @@ void ell_slab_trace(const sparse::CsrMatrix& matrix, const sparse::RowBlock& blo
       tracker.access(detail::kXBase + kValueBytes * x_elem, false);
       // y[r] += ...: read-modify-write every slice.
       tracker.access(detail::kYBase + kValueBytes * local_r, false);
-      tracker.access(detail::kYBase + kValueBytes * local_r, true);
+      tracker.repeat(detail::kYBase + kValueBytes * local_r, true);
     }
   }
 }
@@ -76,10 +75,24 @@ FormatTraceResult run_bcsr_trace(const sparse::CsrMatrix& matrix,
 
   const index_t rows_local = block.row_count();
   const index_t block_rows = (rows_local + block_size - 1) / block_size;
+  const auto col_count = static_cast<std::uint64_t>(matrix.cols());
   std::uint64_t stored_blocks = 0;
   std::uint64_t value_cursor = 0;
   std::uint64_t bcol_cursor = 0;
-  std::map<index_t, bool> block_cols;  // sorted, reused per block row
+  // The block columns of one block row, gathered once each: stamp[bc - lo]
+  // names the last block row that listed bc, so a column seen in an earlier
+  // row of the same block row is skipped; the short list is then sorted.
+  // Rows keep their columns ascending, so their ends bound the stamp.
+  index_t lo = matrix.cols();
+  index_t hi = -1;
+  for (index_t r = block.row_begin; r < block.row_end; ++r) {
+    const auto row = matrix.row_cols(r);
+    if (row.empty()) continue;
+    lo = std::min(lo, row.front() / block_size);
+    hi = std::max(hi, row.back() / block_size);
+  }
+  std::vector<index_t> stamp(static_cast<std::size_t>(std::max<index_t>(hi - lo + 1, 0)), -1);
+  std::vector<index_t> block_cols;
   for (index_t br = 0; br < block_rows; ++br) {
     // Block-row pointer (one 4-byte read, like the CSR ptr stream).
     tracker.access(detail::kPtrBase + kPtrBytes * static_cast<std::uint64_t>(br + 1), false);
@@ -87,28 +100,30 @@ FormatTraceResult run_bcsr_trace(const sparse::CsrMatrix& matrix,
     const index_t r_end = std::min<index_t>(r_begin + block_size, block.row_end);
     block_cols.clear();
     for (index_t r = r_begin; r < r_end; ++r) {
-      for (index_t c : matrix.row_cols(r)) block_cols.emplace(c / block_size, true);
+      for (index_t c : matrix.row_cols(r)) {
+        index_t& seen = stamp[static_cast<std::size_t>(c / block_size - lo)];
+        if (seen != br) {
+          seen = br;
+          block_cols.push_back(c / block_size);
+        }
+      }
     }
-    for (const auto& [bc, _] : block_cols) {
+    std::sort(block_cols.begin(), block_cols.end());
+    for (const index_t bc : block_cols) {
       ++stored_blocks;
       tracker.access(detail::kIndexBase + kIndexBytes * bcol_cursor++, false);
       // Dense b x b payload streamed, with one x load per block column
       // element (registers carry x across the unrolled row loop) and a
       // read-modify-write of each y element.
-      for (std::uint64_t e = 0; e < b * b; ++e) {
-        tracker.access(detail::kValueBase + kValueBytes * (value_cursor + e), false);
-      }
+      tracker.read_run(detail::kValueBase + kValueBytes * value_cursor, b * b, kValueBytes);
       value_cursor += b * b;
-      for (std::uint64_t jj = 0; jj < b; ++jj) {
-        const auto x_elem = static_cast<std::uint64_t>(bc) * b + jj;
-        if (x_elem < static_cast<std::uint64_t>(matrix.cols())) {
-          tracker.access(detail::kXBase + kValueBytes * x_elem, false);
-        }
-      }
+      const auto x_first = static_cast<std::uint64_t>(bc) * b;
+      tracker.read_run(detail::kXBase + kValueBytes * x_first, std::min(b, col_count - x_first),
+                       kValueBytes);
       for (index_t r = r_begin; r < r_end; ++r) {
         const auto local_r = static_cast<std::uint64_t>(r - block.row_begin);
         tracker.access(detail::kYBase + kValueBytes * local_r, false);
-        tracker.access(detail::kYBase + kValueBytes * local_r, true);
+        tracker.repeat(detail::kYBase + kValueBytes * local_r, true);
       }
     }
   }
@@ -156,7 +171,7 @@ FormatTraceResult run_hyb_trace(const sparse::CsrMatrix& matrix, const sparse::R
       tracker.access(detail::kXBase + kValueBytes * static_cast<std::uint64_t>(cols[k]),
                      false);
       tracker.access(detail::kYBase + kValueBytes * local_r, false);
-      tracker.access(detail::kYBase + kValueBytes * local_r, true);
+      tracker.repeat(detail::kYBase + kValueBytes * local_r, true);
       ++tail_cursor;
     }
   }

@@ -4,6 +4,8 @@
 // Internal to scc_sim; not part of the public API.
 #pragma once
 
+#include <bit>
+
 #include "cache/hierarchy.hpp"
 #include "cache/tlb.hpp"
 #include "sim/spmv_trace.hpp"
@@ -26,10 +28,22 @@ inline constexpr std::uint64_t kAuxBase = 0x6'0000'0000ULL + 6 * kStagger;
 
 /// Funnels references through the (optional) TLB and the hierarchy,
 /// accumulating the TraceResult counters.
+///
+/// `access` walks the TLB and the caches. `repeat` is the exact shortcut for
+/// a reference to the line of the immediately preceding reference: that
+/// reference left the line (and its page) resident and most recently used,
+/// so the repeat is an L1 and TLB hit that changes only hit counters and,
+/// for a write, the line's dirty bit. Callers pick it where the kernel's
+/// reference order guarantees the same line; `access` itself never checks,
+/// so the CSR replay pays nothing for the shortcut.
 class Tracker {
  public:
   Tracker(cache::Hierarchy& hierarchy, cache::Tlb* tlb)
-      : hierarchy_(hierarchy), tlb_(tlb) {}
+      : hierarchy_(hierarchy),
+        tlb_(tlb),
+        line_shift_(std::countr_zero(hierarchy.config().l1.line_bytes)),
+        page_holds_line_(tlb == nullptr ||
+                         tlb->config().page_bytes >= hierarchy.config().l1.line_bytes) {}
 
   void access(std::uint64_t address, bool is_write) {
     if (tlb_ != nullptr && !tlb_->access(address)) ++tlb_misses_;
@@ -46,6 +60,34 @@ class Tracker {
     }
     read_bytes_ += effect.memory_read_bytes;
     write_bytes_ += effect.memory_write_bytes;
+  }
+
+  /// A reference to the line of the immediately preceding reference. Both
+  /// sizes are powers of two, so when a page holds at least a line the page
+  /// repeats too; with pages smaller than the line it may not, and the
+  /// translation walks the TLB.
+  void repeat(std::uint64_t address, bool is_write) {
+    if (tlb_ != nullptr) {
+      if (page_holds_line_) {
+        tlb_->repeat(address);
+      } else if (!tlb_->access(address)) {
+        ++tlb_misses_;
+      }
+    }
+    hierarchy_.repeat(address, is_write);
+  }
+
+  /// Reads `count` consecutive `stride`-byte elements from `first`: the
+  /// first element on each line accesses it, the rest repeat it.
+  void read_run(std::uint64_t first, std::uint64_t count, std::uint64_t stride) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t address = first + i * stride;
+      if (i > 0 && ((address ^ (address - stride)) >> line_shift_) == 0) {
+        repeat(address, false);
+      } else {
+        access(address, false);
+      }
+    }
   }
 
   /// Snapshot the accumulated counters into a TraceResult.
@@ -66,6 +108,8 @@ class Tracker {
  private:
   cache::Hierarchy& hierarchy_;
   cache::Tlb* tlb_;
+  int line_shift_;
+  bool page_holds_line_;
   std::uint64_t l2_hits_ = 0;
   std::uint64_t memory_ = 0;
   std::uint64_t tlb_misses_ = 0;

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "sparse/reorder.hpp"
 
 namespace scc::sparse {
 
@@ -174,6 +175,18 @@ std::uint64_t CsrMatrix::fingerprint() const {
     hash.array(std::span<const nnz_t>(ptr_));
     hash.array(std::span<const index_t>(col_));
     return hash.value();
+  });
+}
+
+std::span<const index_t> CsrMatrix::rcm_order() const {
+  return rcm_order_.get([this] {
+    // Keep a copy made after RCM's temporaries (a transpose and the
+    // symmetrized adjacency, each several times the order's size) are
+    // freed. The vector RCM returns was allocated while they were live, and
+    // keeping that block left it amid their freed space: on a 4-vCPU VM,
+    // bench/perf tune_explore's peak RSS rose by up to 2 MB on some orders.
+    const std::vector<index_t> order = reverse_cuthill_mckee(*this);
+    return std::vector<index_t>(order.begin(), order.end());
   });
 }
 

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -77,6 +79,12 @@ class CsrMatrix {
   /// construction.
   std::uint64_t fingerprint() const;
 
+  /// `reverse_cuthill_mckee(*this)`, computed on first use and kept with the
+  /// structure it orders: `val_mutable()` keeps it, and copies share it
+  /// (one order, rows x 4 bytes, per structure). Concurrent first callers
+  /// wait for one computation. The span lives as long as the matrix.
+  std::span<const index_t> rcm_order() const;
+
   /// FNV-1a over the values (`Fnv1a::array(val())`), cached like the
   /// fingerprint until `val_mutable()`. sim::run_key folds it in when a run
   /// verifies its product, since the verdict depends on the values.
@@ -147,6 +155,52 @@ class CsrMatrix {
     mutable std::atomic<std::uint64_t> word_{0};
   };
 
+  /// A lazily computed row order that copies share. The first get()
+  /// computes it under the lock, so concurrent first callers wait and then
+  /// read the same vector, which is never written again. A move hands the
+  /// order over and clears the source, whose arrays the move emptied.
+  class OrderMemo {
+   public:
+    OrderMemo() = default;
+    OrderMemo(const OrderMemo& other) : order_(other.shared()) {}
+    OrderMemo(OrderMemo&& other) noexcept : order_(other.take()) {}
+    OrderMemo& operator=(const OrderMemo& other) {
+      auto order = other.shared();
+      const std::lock_guard lock(mutex_);
+      order_ = std::move(order);
+      return *this;
+    }
+    OrderMemo& operator=(OrderMemo&& other) noexcept {
+      auto order = other.take();
+      const std::lock_guard lock(mutex_);
+      order_ = std::move(order);
+      return *this;
+    }
+
+    template <typename Compute>
+    std::span<const index_t> get(Compute compute) const {
+      const std::lock_guard lock(mutex_);
+      if (order_ == nullptr) {
+        order_ = std::make_shared<const std::vector<index_t>>(compute());
+      }
+      return *order_;
+    }
+
+   private:
+    using Order = std::shared_ptr<const std::vector<index_t>>;
+    Order shared() const {
+      const std::lock_guard lock(mutex_);
+      return order_;
+    }
+    Order take() noexcept {
+      const std::lock_guard lock(mutex_);
+      return std::move(order_);
+    }
+
+    mutable std::mutex mutex_;
+    mutable Order order_;
+  };
+
   index_t rows_ = 0;
   index_t cols_ = 0;
   std::vector<nnz_t> ptr_;
@@ -155,6 +209,7 @@ class CsrMatrix {
   // Caches derived from the arrays above; excluded from equality.
   DigestMemo fingerprint_;
   DigestMemo value_digest_;
+  OrderMemo rcm_order_;  // structural, like the fingerprint
   // ABFT checksum-row cache (value-dependent, unlike the structural
   // fingerprint).
   mutable std::vector<real_t> checksum_;

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
-#include "sparse/reorder.hpp"
 
 namespace scc::tune {
 
@@ -192,7 +191,7 @@ std::vector<real_t> plan_product(const sparse::CsrMatrix& matrix, const Candidat
   // result lands in its original slot -- the per-row sum is untouched.
   std::vector<index_t> schedule(static_cast<std::size_t>(matrix.rows()));
   if (candidate.reorder == sim::Reordering::kRcmRows) {
-    const std::vector<index_t> perm = sparse::reverse_cuthill_mckee(matrix);
+    const auto perm = matrix.rcm_order();
     schedule.assign(perm.begin(), perm.end());
   } else {
     for (index_t r = 0; r < matrix.rows(); ++r) schedule[static_cast<std::size_t>(r)] = r;

@@ -1285,6 +1285,42 @@ TEST(ClusterFaultPlanJson, RejectsMalformedScenarios) {
           R"({"events": [{"kind": "bad_dram", "chip": 0, "rate": 2.0}]})"),
       std::invalid_argument);
   EXPECT_THROW(load_fault_plan_file("/nonexistent/plan.json"), std::invalid_argument);
+  // Event times must be finite and >= 0; durations, periods, the restart
+  // downtime and the crash horizon finite (1e999 parses as infinity). Each
+  // is refused naming its field.
+  const std::vector<std::pair<const char*, const char*>> bad_times = {
+      {R"({"events": [{"kind": "chip_crash", "chip": 0, "seconds": -1}]})",
+       "chip_crash seconds"},
+      {R"({"events": [{"kind": "chip_restart", "chip": 0, "seconds": -0.5}]})",
+       "chip_restart seconds"},
+      {R"({"events": [{"kind": "chip_flap", "chip": 0, "seconds": -0.1}]})",
+       "chip_flap seconds"},
+      {R"({"events": [{"kind": "chip_flap", "chip": 0, "seconds": 0.1,)"
+       R"( "period_seconds": 1e999}]})",
+       "chip_flap period_seconds"},
+      {R"({"events": [{"kind": "tile_kill", "chip": 0, "core": 3, "seconds": 1e999}]})",
+       "tile_kill seconds"},
+      {R"({"events": [{"kind": "brownout", "chip": 0, "mc": 1, "seconds": -2,)"
+       R"( "duration_seconds": 0.1}]})",
+       "brownout seconds"},
+      {R"({"events": [{"kind": "brownout", "chip": 0, "mc": 1, "seconds": 0,)"
+       R"( "duration_seconds": 1e999}]})",
+       "brownout duration_seconds"},
+      {R"({"events": [{"kind": "domain_outage", "domain": 0, "seconds": -1}]})",
+       "domain_outage seconds"},
+      {R"({"events": [{"kind": "domain_brownout", "domain": 0, "seconds": 0.1,)"
+       R"( "duration_seconds": 1e999}]})",
+       "domain_brownout duration_seconds"},
+      {R"({"restart_downtime_seconds": 1e999})", "restart_downtime_seconds"},
+      {R"({"crash_horizon_seconds": 1e999})", "crash_horizon_seconds"}};
+  for (const auto& [text, field] : bad_times) {
+    try {
+      parse_fault_plan_json(text);
+      ADD_FAILURE() << text;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos) << error.what();
+    }
+  }
   // Integers outside int are rejected by name, never narrowed (2^32 + 1 would
   // crash chip 1).
   for (const char* text :

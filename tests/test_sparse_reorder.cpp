@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "gen/generators.hpp"
+#include "sim/engine.hpp"
+#include "sim/report.hpp"
 #include "sparse/properties.hpp"
 
 namespace scc::sparse {
@@ -119,6 +126,112 @@ TEST_P(RcmSweep, AlwaysPermutation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Families, RcmSweep, ::testing::Values(0, 1, 2, 3, 4));
+
+// --- CsrMatrix::rcm_order, the memoized order ---
+
+void expect_direct_order(const CsrMatrix& m, const std::string& what) {
+  const std::vector<index_t> direct = reverse_cuthill_mckee(m);
+  const auto memo = m.rcm_order();
+  EXPECT_TRUE(std::equal(memo.begin(), memo.end(), direct.begin(), direct.end())) << what;
+}
+
+TEST(RcmMemo, EqualsTheDirectOrder) {
+  const std::vector<CsrMatrix> matrices = {
+      gen::stencil_2d(13, 9), gen::random_uniform(301, 5, 3), gen::power_law(257, 6, 1.2, 4),
+      gen::circuit(403, 1.5, 0.3, 5), gen::banded(300, 7, 0.4, 6)};
+  for (std::size_t i = 0; i < matrices.size(); ++i) {
+    expect_direct_order(matrices[i], "matrix " + std::to_string(i));
+    // Later calls read the stored order.
+    EXPECT_EQ(matrices[i].rcm_order().data(), matrices[i].rcm_order().data());
+  }
+  CooMatrix coo(2, 3);
+  coo.add(0, 2, 1.0);
+  const auto wide = CsrMatrix::from_coo(std::move(coo));
+  EXPECT_THROW(wide.rcm_order(), std::invalid_argument);
+  EXPECT_THROW(wide.rcm_order(), std::invalid_argument);  // a failure stores nothing
+}
+
+TEST(RcmMemo, SurvivesValMutableCopyAndMove) {
+  CsrMatrix m = gen::random_uniform(301, 5, 7);
+  const index_t* stored = m.rcm_order().data();
+
+  for (real_t& v : m.val_mutable()) v *= -2.0;  // values only: the order stays
+  EXPECT_EQ(m.rcm_order().data(), stored);
+  expect_direct_order(m, "after val_mutable");
+
+  const CsrMatrix copied(m);  // copies share the one order
+  EXPECT_EQ(copied.rcm_order().data(), stored);
+
+  CsrMatrix copy_assigned = gen::banded(200, 4, 0.5, 8);
+  copy_assigned.rcm_order();
+  copy_assigned = copied;
+  EXPECT_EQ(copy_assigned.rcm_order().data(), stored);
+  expect_direct_order(copy_assigned, "copy-assigned");
+
+  CsrMatrix moved(std::move(m));
+  EXPECT_EQ(moved.rcm_order().data(), stored);
+
+  CsrMatrix move_assigned = gen::banded(200, 4, 0.5, 9);
+  move_assigned.rcm_order();
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.rcm_order().data(), stored);
+  expect_direct_order(move_assigned, "move-assigned");
+
+  // A fresh matrix of the same structure computes its own, equal order.
+  const CsrMatrix rebuilt = gen::random_uniform(301, 5, 7);
+  EXPECT_NE(rebuilt.rcm_order().data(), stored);
+  EXPECT_TRUE(std::equal(rebuilt.rcm_order().begin(), rebuilt.rcm_order().end(),
+                         copied.rcm_order().begin(), copied.rcm_order().end()));
+}
+
+TEST(RcmMemo, ConcurrentFirstCallsAgree) {
+  const CsrMatrix m = gen::power_law(3000, 9, 1.2, 5);
+  constexpr std::size_t kThreads = 4;
+  std::array<std::span<const index_t>, kThreads> seen{};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&m, &seen, t] { seen[t] = m.rcm_order(); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const auto& order : seen) EXPECT_EQ(order.data(), seen.front().data());
+  expect_direct_order(m, "after concurrent first calls");
+}
+
+TEST(RcmMemo, ReorderedEngineRunIsBitIdenticalColdOrWarm) {
+  const CsrMatrix m = gen::power_law(2000, 8, 1.1, 21);
+  const CsrMatrix untouched(m);  // copied before any order exists: cold
+  const sim::Engine engine;
+  for (const sim::StorageFormat format :
+       {sim::StorageFormat::kCsr, sim::StorageFormat::kBcsr2, sim::StorageFormat::kHyb}) {
+    sim::RunSpec spec;
+    spec.ue_count = 8;
+    spec.format = format;
+    spec.reorder = sim::Reordering::kRcmRows;
+    const CsrMatrix fresh = gen::power_law(2000, 8, 1.1, 21);
+    const std::string cold = sim::run_report_json(engine, spec, engine.run(fresh, spec)).dump();
+    const std::string warm = sim::run_report_json(engine, spec, engine.run(fresh, spec)).dump();
+    EXPECT_EQ(warm, cold) << sim::to_string(format);
+    EXPECT_EQ(sim::run_report_json(engine, spec, engine.run(untouched, spec)).dump(), cold)
+        << sim::to_string(format);
+
+    // And equal to replaying the explicitly permuted matrix.
+    sim::RunSpec plain = spec;
+    plain.reorder = sim::Reordering::kNone;
+    const sim::RunResult reordered = engine.run(fresh, spec);
+    const sim::RunResult explicit_order =
+        engine.run(m.permute_rows(reverse_cuthill_mckee(m)), plain);
+    EXPECT_EQ(reordered.seconds, explicit_order.seconds) << sim::to_string(format);
+    ASSERT_EQ(reordered.cores.size(), explicit_order.cores.size());
+    for (std::size_t rank = 0; rank < reordered.cores.size(); ++rank) {
+      EXPECT_EQ(reordered.cores[rank].trace.l1.accesses(),
+                explicit_order.cores[rank].trace.l1.accesses());
+      EXPECT_EQ(reordered.cores[rank].trace.memory_accesses,
+                explicit_order.cores[rank].trace.memory_accesses);
+      EXPECT_EQ(reordered.cores[rank].trace.tlb_misses,
+                explicit_order.cores[rank].trace.tlb_misses);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace scc::sparse

@@ -595,6 +595,76 @@ TEST(CliCluster, RejectsBatchMaxBelowOneLikeServe) {
   unsetenv("SCC_TESTBED_SCALE");
 }
 
+TEST(Cli, BadFlagErrorsCarryNoCheckTextOrSourcePath) {
+  setenv("SCC_TESTBED_SCALE", "0.05", 1);
+  const std::vector<std::vector<const char*>> cases = {
+      {"simulate", "--id=3", "--cores=4294967320"},
+      {"serve", "--requests=5", "--mix=26,+27"},
+      {"cluster", "--requests=5", "--crash=0:-1"},
+      {"generate", "--family=nope"}};
+  for (const auto& argv : cases) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(make(argv), out, err), 1) << argv[1];
+    EXPECT_NE(err.str().find("error: "), std::string::npos) << err.str();
+    EXPECT_EQ(err.str().find("[check"), std::string::npos) << err.str();
+    EXPECT_EQ(err.str().find("/src/"), std::string::npos) << err.str();
+  }
+  expect_cli_error({"simulate", "--id=3", "--cores=4294967320"},
+                   "--cores is out of range, got '4294967320'\n");
+  unsetenv("SCC_TESTBED_SCALE");
+}
+
+TEST(CliServe, ListFlagsParseWholeTokens) {
+  setenv("SCC_TESTBED_SCALE", "0.05", 1);
+  expect_cli_error({"serve", "--requests=5", "--mix=26,+27"},
+                   "--mix expects an integer, got '+27'");
+  expect_cli_error({"serve", "--requests=5", "--mix=26, 27"},
+                   "--mix expects an integer, got ' 27'");
+  expect_cli_error({"serve", "--requests=5", "--mix=26,,27"}, "--mix has an empty item");
+  expect_cli_error({"serve", "--requests=5", "--mix=26,"}, "--mix has an empty item");
+  expect_cli_error({"serve", "--requests=5", "--mix=4294967322"},
+                   "--mix is out of range, got '4294967322'");
+  expect_cli_error({"autotune", "--mix=26x"}, "--mix expects an integer, got '26x'");
+  expect_cli_error({"resilience", "--family=banded", "--n=200", "--ues=4", "--kill-ranks=1,"},
+                   "--kill-ranks has an empty item");
+  expect_cli_error({"serve", "--requests=5", "--sdc-rate=0.5", "--sdc-bits=+1:3"},
+                   "--sdc-bits expects an integer, got '+1'");
+  expect_cli_error({"serve", "--requests=5", "--sdc-rate=0.5", "--sdc-bits=1:3:5"},
+                   "--sdc-bits expects MIN:MAX");
+  unsetenv("SCC_TESTBED_SCALE");
+}
+
+TEST(CliCluster, FaultSpecsParseWholeFiniteTokens) {
+  setenv("SCC_TESTBED_SCALE", "0.05", 1);
+  expect_cli_error({"cluster", "--requests=5", "--crash=0: 0.1"},
+                   "--crash expects a number, got ' 0.1'");
+  expect_cli_error({"cluster", "--requests=5", "--crash=0:nan"},
+                   "--crash expects a finite number, got 'nan'");
+  expect_cli_error({"cluster", "--requests=5", "--crash=0:inf"},
+                   "--crash expects a finite number, got 'inf'");
+  expect_cli_error({"cluster", "--requests=5", "--crash=0.5:0.1"},
+                   "--crash expects an integer, got '0.5'");
+  expect_cli_error({"cluster", "--requests=5", "--crash=0:0.1,"}, "--crash has an empty item");
+  expect_cli_error({"cluster", "--requests=5", "--tile-kill=0::0.1"},
+                   "--tile-kill has an empty item");
+  expect_cli_error({"cluster", "--requests=5", "--brownout=0:1:0.1:0.2:1e999"},
+                   "--brownout is out of range, got '1e999'");
+  expect_cli_error({"cluster", "--requests=5", "--flap=0:0.1:2.5:0.1"},
+                   "--flap expects an integer, got '2.5'");
+  // Parsed, then refused by the plan's own checks, which JSON plans share.
+  expect_cli_error({"cluster", "--requests=5", "--crash=0:-1"},
+                   "chip_crash seconds must be a finite time >= 0, got -1");
+  expect_cli_error({"cluster", "--requests=5", "--tile-kill=0:7:-0.5"},
+                   "tile_kill seconds must be a finite time >= 0");
+  expect_cli_error({"cluster", "--requests=5", "--brownout=0:1:-0.1:0.2"},
+                   "brownout seconds must be a finite time >= 0");
+  expect_cli_error({"cluster", "--requests=5", "--domain-outage=0:-3"},
+                   "domain_outage seconds must be a finite time >= 0");
+  expect_cli_error({"cluster", "--requests=5", "--crash-horizon=inf"},
+                   "crash_horizon_seconds must be finite");
+  unsetenv("SCC_TESTBED_SCALE");
+}
+
 TEST(CliCluster, RejectsSdcSeedAndPointsToTheFaultPlan) {
   expect_cli_error({"cluster", "--verify=detect", "--sdc-rate=0.3", "--sdc-seed=12345"},
                    "--sdc-seed is a serve flag");

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <cmath>
@@ -143,20 +144,10 @@ integrity::SdcPlan sdc_plan_from(const CliArgs& args) {
   if (args.has("sdc-seed")) sdc.seed = parse_seed(args.get_or("sdc-seed", ""));
   if (const auto bits = args.get("sdc-bits")) {
     const auto sep = bits->find(':');
-    std::size_t lo_used = 0;
-    std::size_t hi_used = 0;
-    int lo = -1;
-    int hi = -1;
-    if (sep != std::string::npos && sep > 0 && sep + 1 < bits->size()) {
-      try {
-        lo = std::stoi(bits->substr(0, sep), &lo_used);
-        hi = std::stoi(bits->substr(sep + 1), &hi_used);
-      } catch (const std::exception&) {
-        lo_used = 0;
-      }
-    }
-    SCC_REQUIRE(lo_used == sep && sep + 1 + hi_used == bits->size(),
+    SCC_REQUIRE(sep != std::string::npos && bits->find(':', sep + 1) == std::string::npos,
                 "--sdc-bits expects MIN:MAX (e.g. 32:62), got '" << *bits << "'");
+    const int lo = parse_int_token("--sdc-bits", bits->substr(0, sep));
+    const int hi = parse_int_token("--sdc-bits", bits->substr(sep + 1));
     SCC_REQUIRE(lo >= 0 && lo <= hi && hi <= 63,
                 "--sdc-bits needs 0 <= MIN <= MAX <= 63, got '" << *bits << "'");
     sdc.min_bit = lo;
@@ -188,20 +179,8 @@ void write_trace(const OutputOptions& output, const obs::Recorder& recorder) {
 
 std::vector<int> parse_int_list(const std::string& text, const char* flag) {
   std::vector<int> values;
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (item.empty()) continue;
-    std::size_t used = 0;
-    int value = -1;
-    try {
-      value = std::stoi(item, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    SCC_REQUIRE(used == item.size(),
-                flag << " expects a comma-separated integer list, got '" << item << "'");
-    values.push_back(value);
+  for (const std::string& item : split_items(flag, text, ',')) {
+    values.push_back(parse_int_token(flag, item));
   }
   return values;
 }
@@ -269,29 +248,21 @@ serve::MatrixPool matrix_pool_from(const CliArgs& args) {
   return serve::MatrixPool(scale, cache);
 }
 
-/// Split one `:`-separated fault spec into exactly `expect` (or, when
-/// `expect_opt` > 0, optionally `expect_opt`) doubles.
-std::vector<double> parse_fault_fields(const std::string& item, std::size_t expect,
-                                       std::size_t expect_opt, const char* flag) {
-  std::vector<double> fields;
-  std::stringstream stream(item);
-  std::string field;
-  while (std::getline(stream, field, ':')) {
-    std::size_t used = 0;
-    double value = 0.0;
-    try {
-      value = std::stod(field, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    SCC_REQUIRE(used == field.size() && !field.empty(),
-                flag << " expects ':'-separated numbers, got '" << item << "'");
-    fields.push_back(value);
-  }
-  SCC_REQUIRE(fields.size() == expect || (expect_opt > 0 && fields.size() == expect_opt),
+/// Parse one `:`-separated fault spec against `shape`, one letter per
+/// field: 'i' an integer, 'n' a finite number. The fields after the first
+/// `required` are optional. Integer fields come back exact, as doubles.
+std::vector<double> parse_fault_fields(const std::string& item, std::string_view shape,
+                                       std::size_t required, const char* flag) {
+  const std::vector<std::string> fields = split_items(flag, item, ':');
+  SCC_REQUIRE(fields.size() == required || fields.size() == shape.size(),
               flag << " spec '" << item << "' has " << fields.size() << " fields, expected "
-                   << expect << (expect_opt > 0 ? " (or more)" : ""));
-  return fields;
+                   << required << (shape.size() > required ? " (or more)" : ""));
+  std::vector<double> values;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    values.push_back(shape[i] == 'i' ? parse_int_token(flag, fields[i])
+                                     : parse_finite_token(flag, fields[i]));
+  }
+  return values;
 }
 
 /// --fault-plan=FILE baseline plus --crash / --tile-kill / --brownout /
@@ -302,32 +273,29 @@ void parse_fault_plan(const CliArgs& args, cluster::FaultPlan& plan) {
   if (args.has("fault-plan")) {
     plan = cluster::load_fault_plan_file(args.get_or("fault-plan", ""));
   }
-  const auto each = [](const std::string& list, const auto& fn) {
-    std::stringstream stream(list);
-    std::string item;
-    while (!list.empty() && std::getline(stream, item, ',')) {
-      if (!item.empty()) fn(item);
-    }
+  const auto each = [&args](const char* key, const auto& fn) {
+    const std::string flag = std::string("--") + key;
+    for (const std::string& item : split_items(flag, args.get_or(key, ""), ',')) fn(item);
   };
-  each(args.get_or("crash", ""), [&](const std::string& item) {
-    const auto f = parse_fault_fields(item, 2, 0, "--crash");
+  each("crash", [&](const std::string& item) {
+    const auto f = parse_fault_fields(item, "in", 2, "--crash");
     plan.chip_crashes.push_back({static_cast<int>(f[0]), f[1]});
   });
-  each(args.get_or("restart", ""), [&](const std::string& item) {
-    const auto f = parse_fault_fields(item, 2, 0, "--restart");
+  each("restart", [&](const std::string& item) {
+    const auto f = parse_fault_fields(item, "in", 2, "--restart");
     plan.chip_restarts.push_back({static_cast<int>(f[0]), f[1]});
   });
-  each(args.get_or("flap", ""), [&](const std::string& item) {
-    const auto f = parse_fault_fields(item, 4, 0, "--flap");
+  each("flap", [&](const std::string& item) {
+    const auto f = parse_fault_fields(item, "inin", 4, "--flap");
     plan.chip_flaps.push_back(
         {static_cast<int>(f[0]), f[1], static_cast<int>(f[2]), f[3]});
   });
-  each(args.get_or("tile-kill", ""), [&](const std::string& item) {
-    const auto f = parse_fault_fields(item, 3, 0, "--tile-kill");
+  each("tile-kill", [&](const std::string& item) {
+    const auto f = parse_fault_fields(item, "iin", 3, "--tile-kill");
     plan.tile_kills.push_back({static_cast<int>(f[0]), static_cast<int>(f[1]), f[2]});
   });
-  each(args.get_or("brownout", ""), [&](const std::string& item) {
-    const auto f = parse_fault_fields(item, 4, 5, "--brownout");
+  each("brownout", [&](const std::string& item) {
+    const auto f = parse_fault_fields(item, "iinnn", 4, "--brownout");
     cluster::Brownout brownout;
     brownout.chip = static_cast<int>(f[0]);
     brownout.mc = static_cast<int>(f[1]);
@@ -336,12 +304,12 @@ void parse_fault_plan(const CliArgs& args, cluster::FaultPlan& plan) {
     if (f.size() == 5) brownout.derate = f[4];
     plan.brownouts.push_back(brownout);
   });
-  each(args.get_or("domain-outage", ""), [&](const std::string& item) {
-    const auto f = parse_fault_fields(item, 2, 0, "--domain-outage");
+  each("domain-outage", [&](const std::string& item) {
+    const auto f = parse_fault_fields(item, "in", 2, "--domain-outage");
     plan.domain_outages.push_back({static_cast<int>(f[0]), f[1]});
   });
-  each(args.get_or("bad-dram", ""), [&](const std::string& item) {
-    const auto f = parse_fault_fields(item, 2, 3, "--bad-dram");
+  each("bad-dram", [&](const std::string& item) {
+    const auto f = parse_fault_fields(item, "inn", 2, "--bad-dram");
     cluster::BadDram bad;
     bad.chip = static_cast<int>(f[0]);
     bad.rate = f[1];
