@@ -74,7 +74,8 @@ std::string decision_log_for(int threads, CacheMode mode, const std::string& sna
   serve::MatrixPool pool =
       mode == CacheMode::kOff
           ? serve::MatrixPool::without_run_cache(scale)
-          : serve::MatrixPool(scale, sim::RunCacheConfig{1024, 0, snapshot, 0});
+          : serve::MatrixPool(scale,
+                              sim::RunCacheConfig{.capacity = 1024, .persist_path = snapshot});
   tune::AutotuneConfig tuning;
   tune::Autotuner tuner(sim::EngineConfig{}, tuning, pool.tuning_cache(tuning.cache),
                         pool.run_cache());

@@ -30,25 +30,25 @@ std::string request_text(int request_id) { return "request " + std::to_string(re
 void record_run_cache_stats(const serve::MatrixPool& pool, obs::Recorder* recorder) {
   const std::shared_ptr<sim::RunCache>& cache = pool.run_cache();
   if (cache == nullptr || recorder == nullptr) return;
-  const sim::RunCache::Stats stats = cache->stats();
+  const auto [runs, replays] = cache->stats();
   obs::Registry& registry = recorder->metrics();
-  registry.gauge("run_cache.hits").set(static_cast<double>(stats.total.hits));
-  registry.gauge("run_cache.misses").set(static_cast<double>(stats.total.misses));
-  registry.gauge("run_cache.evictions").set(static_cast<double>(stats.total.evictions));
-  registry.gauge("run_cache.size").set(static_cast<double>(stats.total.size));
-  registry.gauge("run_cache.load_factor").set(stats.total.load_factor());
-  registry.gauge("run_cache.replay_hits").set(static_cast<double>(stats.replay_hits));
-  registry.gauge("run_cache.replay_misses").set(static_cast<double>(stats.replay_misses));
-  registry.gauge("run_cache.replay_size").set(static_cast<double>(stats.replay_size));
+  registry.gauge("run_cache.hits").set(static_cast<double>(runs.hits));
+  registry.gauge("run_cache.misses").set(static_cast<double>(runs.misses));
+  registry.gauge("run_cache.evictions").set(static_cast<double>(runs.evictions));
+  registry.gauge("run_cache.size").set(static_cast<double>(runs.size));
+  registry.gauge("run_cache.load_factor")
+      .set(static_cast<double>(runs.size) / static_cast<double>(runs.capacity));
+  registry.gauge("run_cache.replay_hits").set(static_cast<double>(replays.hits));
+  registry.gauge("run_cache.replay_misses").set(static_cast<double>(replays.misses));
+  registry.gauge("run_cache.replay_size").set(static_cast<double>(replays.size));
   recorder->event("run_cache.stats",
-                  {{"hits", std::to_string(stats.total.hits)},
-                   {"misses", std::to_string(stats.total.misses)},
-                   {"evictions", std::to_string(stats.total.evictions)},
-                   {"size", std::to_string(stats.total.size)},
-                   {"shards", std::to_string(cache->shard_count())},
-                   {"replay_hits", std::to_string(stats.replay_hits)},
-                   {"replay_misses", std::to_string(stats.replay_misses)},
-                   {"replay_size", std::to_string(stats.replay_size)}});
+                  {{"hits", std::to_string(runs.hits)},
+                   {"misses", std::to_string(runs.misses)},
+                   {"evictions", std::to_string(runs.evictions)},
+                   {"size", std::to_string(runs.size)},
+                   {"replay_hits", std::to_string(replays.hits)},
+                   {"replay_misses", std::to_string(replays.misses)},
+                   {"replay_size", std::to_string(replays.size)}});
 }
 
 }  // namespace

@@ -69,9 +69,8 @@ void validate_metrics(std::vector<std::string>& problems, const Json& report) {
   }
 }
 
-/// The optional run_cache section: an 'enabled' bool always; totals, shard
-/// metadata, replay-table counters and a per-shard stats array whenever a
-/// cache was attached.
+/// The optional run_cache section: an 'enabled' bool always; totals and
+/// replay-table counters whenever a cache was attached.
 void validate_run_cache(std::vector<std::string>& problems, const Json& report) {
   const Json* cache = report.find("run_cache");
   if (cache == nullptr) return;
@@ -83,29 +82,13 @@ void validate_run_cache(std::vector<std::string>& problems, const Json& report) 
   require(problems, enabled != nullptr && enabled->is_bool(),
           "run_cache needs a bool 'enabled'");
   if (enabled == nullptr || !enabled->is_bool() || !enabled->as_bool()) return;
-  for (const char* key : {"hits", "misses", "evictions", "size", "capacity", "shards",
-                          "replay_hits", "replay_misses", "replay_size"}) {
+  for (const char* key : {"hits", "misses", "evictions", "size", "capacity", "replay_hits",
+                          "replay_misses", "replay_size"}) {
     check_number(problems, *cache, key);
   }
   const Json* persisted = cache->find("persisted");
   require(problems, persisted != nullptr && persisted->is_bool(),
           "run_cache needs a bool 'persisted'");
-  const Json* per_shard = cache->find("per_shard");
-  if (per_shard == nullptr || !per_shard->is_array() || per_shard->size() == 0) {
-    problems.push_back("run_cache needs a non-empty 'per_shard' array");
-    return;
-  }
-  for (std::size_t i = 0; i < per_shard->size(); ++i) {
-    const Json& shard = per_shard->at(i);
-    if (!shard.is_object()) {
-      problems.push_back("run_cache.per_shard entries must be objects");
-      break;
-    }
-    for (const char* key :
-         {"hits", "misses", "evictions", "size", "capacity", "load_factor"}) {
-      check_number(problems, shard, key);
-    }
-  }
 }
 
 /// The "integrity" section (ABFT verification). Required on run reports,

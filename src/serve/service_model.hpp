@@ -21,7 +21,7 @@ namespace scc::serve {
 
 /// Lazily materialized Table-I stand-ins shared across simulator instances
 /// (one pool per bench process; the policy sweep reuses the same matrices).
-/// The pool also creates the shared engine-level sim::RunCache -- sharded
+/// The pool also creates the shared engine-level sim::RunCache -- bounded
 /// per sim::RunCacheConfig, optionally persisted to disk -- and hands every
 /// ServiceModel a co-owning handle: sweeps build a fresh Simulator per
 /// configuration but share the pool, so memoized runs carry across
@@ -31,7 +31,7 @@ namespace scc::serve {
 class MatrixPool {
  public:
   /// Pool whose shared RunCache is built from `cache_config` (capacity,
-  /// shard count, snapshot path). SCC_RUN_CACHE=0 still wins and disables
+  /// snapshot path). SCC_RUN_CACHE=0 still wins and disables
   /// memoization outright.
   explicit MatrixPool(double scale, const sim::RunCacheConfig& cache_config = {});
 

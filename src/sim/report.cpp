@@ -154,34 +154,21 @@ obs::Json run_report_json(const Engine& engine, const RunSpec& spec, const RunRe
 
   // Engine-run memoization (sim::RunCache). Counters are cache lifetime, not
   // per-run; engines without an attached cache report enabled=false only.
-  // The per-shard rows expose the sharded cache's balance, the replay_*
-  // fields its per-rank replay table (schema v1, docs/OBSERVABILITY.md).
+  // The replay_* fields count its per-rank replay table (schema v1,
+  // docs/OBSERVABILITY.md).
   obs::Json memo = obs::Json::object();
   memo.set("enabled", engine.run_cache() != nullptr);
   if (const RunCache* cache = engine.run_cache(); cache != nullptr) {
     const RunCache::Stats stats = cache->stats();
-    memo.set("hits", stats.total.hits);
-    memo.set("misses", stats.total.misses);
-    memo.set("evictions", stats.total.evictions);
-    memo.set("size", static_cast<std::int64_t>(stats.total.size));
-    memo.set("capacity", static_cast<std::int64_t>(stats.total.capacity));
-    memo.set("shards", static_cast<std::int64_t>(cache->shard_count()));
+    memo.set("hits", stats.runs.hits);
+    memo.set("misses", stats.runs.misses);
+    memo.set("evictions", stats.runs.evictions);
+    memo.set("size", static_cast<std::int64_t>(stats.runs.size));
+    memo.set("capacity", static_cast<std::int64_t>(stats.runs.capacity));
     memo.set("persisted", !cache->persist_path().empty());
-    memo.set("replay_hits", stats.replay_hits);
-    memo.set("replay_misses", stats.replay_misses);
-    memo.set("replay_size", static_cast<std::int64_t>(stats.replay_size));
-    obs::Json per_shard = obs::Json::array();
-    for (const RunCache::ShardStats& shard : stats.per_shard) {
-      obs::Json s = obs::Json::object();
-      s.set("hits", shard.hits);
-      s.set("misses", shard.misses);
-      s.set("evictions", shard.evictions);
-      s.set("size", static_cast<std::int64_t>(shard.size));
-      s.set("capacity", static_cast<std::int64_t>(shard.capacity));
-      s.set("load_factor", shard.load_factor());
-      per_shard.push_back(std::move(s));
-    }
-    memo.set("per_shard", std::move(per_shard));
+    memo.set("replay_hits", stats.replays.hits);
+    memo.set("replay_misses", stats.replays.misses);
+    memo.set("replay_size", static_cast<std::int64_t>(stats.replays.size));
   }
   report.set("run_cache", std::move(memo));
 

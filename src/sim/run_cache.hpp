@@ -1,6 +1,6 @@
-// Content-keyed memoization of Engine::run -- sharded, mostly lock-free,
-// optionally persisted to disk -- plus a bounded table of per-rank trace
-// replays that run-cache misses share.
+// Content-keyed memoization of Engine::run -- bounded, least recently used
+// first out, optionally persisted to disk -- plus a bounded table of
+// per-rank trace replays that run-cache misses share.
 //
 // The serving layers dispatch bit-identical (matrix, RunSpec) jobs over and
 // over -- every same-matrix batch, every failover replay, every sweep point
@@ -26,46 +26,39 @@
 // its row block of the (possibly RCM-reordered) matrix, the trace kind, the
 // warm-pass flag and the private L1/L2/TLB geometry -- never on the core it
 // runs on -- so the cache also keeps a bounded table of those replays
-// (ReplayKey -> RankReplay, kReplaysPerEntry x capacity entries, oldest
-// evicted first, one mutex). Engine::run looks every rank up before its
-// fan-out, replays only the misses and prices all ranks for their cores
-// as before, so a degraded run's survivors, a cold re-ship timing or a run
-// on re-allocated cores reuses whatever any same-size core set replayed.
-// The table is in-memory only: snapshots neither write nor read it.
+// (ReplayKey -> RankReplay, kReplaysPerEntry x capacity entries). Engine::run
+// looks every rank up before its fan-out, replays only the misses and
+// prices all ranks for their cores as before, so a degraded run's
+// survivors, a cold re-ship timing or a run on re-allocated cores reuses
+// whatever any same-size core set replayed. The table is in-memory only:
+// snapshots neither write nor read it.
 //
-// Concurrency (MODEL.md section 7): the cache is split into a power-of-two
-// number of shards selected by the key hash. Each shard is a fixed slot
-// array; a published entry is an immutable heap object held by an atomic
-// shared_ptr, and the hot hit path -- scan the shard's atomic key words,
-// load the entry, verify, deep-copy -- takes **no lock**. Only inserts
-// take a per-shard mutex, and eviction is CLOCK/second-chance over atomic
-// reference bits (fresh entries start unreferenced, so an untouched entry
-// is evicted before one that has served a hit -- LRU-like without the
-// global splice the old mutex-guarded list needed). Hit/miss/eviction
-// counters are per-shard atomics aggregated on demand into Stats, so
-// engines sharing one cache never contend or double-count.
+// Storage (MODEL.md section 7): runs and replays each live in one
+// common::LruMemo -- one mutex, a hash map and a recency list -- and are
+// evicted least recently used first. Engine::run looks both up and stores
+// them on its calling thread, before and after its rank fan-out, so no
+// serving or sweep path contends for the locks; they keep the cache safe
+// for engines on several host threads that share it.
 //
 // Persistence: a RunCacheConfig::persist_path names a snapshot file, a
 // common::framed_file (run_cache.cpp has the payload layout). The cache
 // loads it on construction and rewrites it on destruction (or explicitly
 // via save_snapshot), so repeated sweeps amortize simulations *across
-// processes*. Corrupt, truncated or version-mismatched snapshots are
+// processes*. Entries are written least recent first and loaded back in
+// that order, so a restored cache evicts the same key as the cache that
+// saved it. Corrupt, truncated or version-mismatched snapshots are
 // rejected cleanly and leave the cache as it was. A hit returns a deep copy
 // of the stored RunResult, bit-exact versus a cold simulation -- also after
 // a snapshot round trip.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/lru_memo.hpp"
 #include "sim/engine.hpp"
 
 namespace scc::sim {
@@ -119,20 +112,17 @@ struct RankReplay {
 
 /// Construction-time knobs of a RunCache.
 struct RunCacheConfig {
-  /// Maximum number of memoized RunResults held across all shards (>= 1).
+  /// Maximum number of memoized RunResults (>= 1).
   std::size_t capacity = 128;
-  /// Shard count; rounded up to a power of two and clamped so every shard
-  /// owns at least one slot. 0 selects automatically from the capacity
-  /// (about 16 slots per shard, at most 16 shards).
+  /// Unread placeholder; the constructor requires 0. It stays only so the
+  /// positional `RunCacheConfig{capacity, 0, path, 0}` initializers of the
+  /// bench/perf harness keep compiling until that harness names its fields.
   std::size_t shards = 0;
   /// Snapshot file: loaded on construction when it exists, rewritten on
   /// destruction. Empty disables persistence.
   std::string persist_path{};
-  /// Byte cap on the snapshot file (0 = unlimited). When a save would
-  /// exceed it, entries from the oldest generations are dropped first (a
-  /// generation is one save epoch; hits refresh an entry's generation), so
-  /// long-lived sweep farms age stale engine-config entries out of the file
-  /// instead of growing it forever.
+  /// Unread placeholder like `shards`; the constructor requires 0. A
+  /// snapshot holds at most `capacity` entries, which bounds the file.
   std::size_t max_snapshot_bytes = 0;
 };
 
@@ -140,12 +130,12 @@ class RunCache {
  public:
   /// Snapshot format version; bumped whenever RunKey/RunResult layout or
   /// the file framing changes, so stale files are rejected, never misread.
-  /// v2: RunKey covers RunSpec::reorder and every entry carries a
-  /// generation tag for byte-capped compaction.
   /// v3: RunKey covers the verify/SDC knobs (plus matrix values when
   /// verification is live) and RunResult carries the ABFT fields.
   /// v4: the common::framed_file framing.
-  static constexpr std::uint32_t kSnapshotVersion = 4;
+  /// v5: entries carry no generation tag and are written least recently
+  /// used first.
+  static constexpr std::uint32_t kSnapshotVersion = 5;
   /// Bound of the replay table, per entry of whole-run capacity: a default
   /// cache keeps up to 1,024 replays, about 300 bytes each.
   static constexpr std::size_t kReplaysPerEntry = 8;
@@ -156,125 +146,60 @@ class RunCache {
   RunCache(const RunCache&) = delete;
   RunCache& operator=(const RunCache&) = delete;
 
-  /// Deep copy of the entry for `key` (marking it recently used), or
-  /// nullopt. Lock-free; counts a hit or a miss on the key's shard.
-  std::optional<RunResult> lookup(const RunKey& key);
+  /// Deep copy of the entry for `key` (now the most recently used), or
+  /// nullopt; counts a hit or a miss.
+  std::optional<RunResult> lookup(const RunKey& key) { return runs_.find(key); }
 
-  /// Store (or refresh) `key`, evicting a second-chance victim when the
-  /// key's shard is full. Takes only that shard's insert mutex.
-  void insert(const RunKey& key, const RunResult& result);
+  /// Store (or replace) `key` as the most recently used entry, evicting the
+  /// least recently used one when the cache is full.
+  void insert(const RunKey& key, const RunResult& result) { runs_.put(key, result); }
 
   /// Copy of the stored replay for `key`, or nullopt; counts a replay hit
   /// or miss.
-  std::optional<RankReplay> lookup_replay(const ReplayKey& key);
+  std::optional<RankReplay> lookup_replay(const ReplayKey& key) { return replays_.find(key); }
 
-  /// Store `replay` under `key` unless it is already present, evicting the
-  /// oldest replay when the table is full.
-  void insert_replay(const ReplayKey& key, const RankReplay& replay);
+  /// Store (or replace) `replay` under `key`, evicting the least recently
+  /// used replay when the table is full.
+  void insert_replay(const ReplayKey& key, const RankReplay& replay) {
+    replays_.put(key, replay);
+  }
 
-  std::size_t replay_capacity() const { return replay_capacity_; }
-
-  /// Drop every run and replay entry (counters keep counting).
-  void clear();
-
-  /// Point-in-time counters of one shard (and, aggregated, of the cache).
-  struct ShardStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t insertions = 0;
-    std::size_t size = 0;
-    std::size_t capacity = 0;
-    double load_factor() const {
-      return capacity == 0 ? 0.0 : static_cast<double>(size) / static_cast<double>(capacity);
-    }
-  };
+  /// Point-in-time counters of the run memo and of the replay table.
   struct Stats {
-    ShardStats total;                    ///< sums over every shard
-    std::vector<ShardStats> per_shard;   ///< indexed by shard id
-    std::uint64_t replay_hits = 0;       ///< ranks served from the replay table
-    std::uint64_t replay_misses = 0;     ///< ranks replayed
-    std::size_t replay_size = 0;         ///< replays held (<= replay_capacity())
+    common::LruStats runs;
+    common::LruStats replays;
   };
-  Stats stats() const;
+  Stats stats() const { return {runs_.stats(), replays_.stats()}; }
 
-  std::size_t size() const;
-  std::size_t capacity() const { return capacity_; }
-  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t size() const { return runs_.stats().size; }
+  std::size_t capacity() const { return runs_.stats().capacity; }
+  std::size_t replay_capacity() const { return replays_.stats().capacity; }
   const std::string& persist_path() const { return persist_path_; }
-  std::size_t max_snapshot_bytes() const { return max_snapshot_bytes_; }
-  /// Current save epoch: entries inserted or hit now are stamped with it;
-  /// each successful save starts a new epoch.
-  std::uint64_t generation() const { return generation_.load(std::memory_order_relaxed); }
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
+  std::uint64_t hits() const { return runs_.stats().hits; }
+  std::uint64_t misses() const { return runs_.stats().misses; }
 
-  /// Write every live entry into `path` (atomically: temp file + rename).
-  /// Returns false when the file cannot be written.
+  /// Write every run entry into `path` (atomically: temp file + rename),
+  /// least recently used first. Returns false when the file cannot be
+  /// written.
   bool save_snapshot(const std::string& path) const;
 
   /// Merge the entries of the snapshot at `path` into this cache through
-  /// the normal insert path (capacity and eviction apply). Returns false --
+  /// insert, in file order (capacity and eviction apply). Returns false --
   /// without touching the cache -- when the file is missing, truncated,
   /// corrupt (checksum) or from a different snapshot version.
   bool load_snapshot(const std::string& path);
 
  private:
-  /// Immutable once published; readers holding the shared_ptr are safe
-  /// against concurrent eviction/replacement.
-  struct Entry {
-    RunKey key;
-    RunResult result;
+  struct RunKeyHash {
+    std::size_t operator()(const RunKey& key) const;
   };
-
-  struct Slot {
-    /// Mirrors Entry::key so the scan can reject non-matching slots without
-    /// touching the shared_ptr; the entry's own key is the authority.
-    std::atomic<std::uint64_t> key_matrix{0};
-    std::atomic<std::uint64_t> key_spec{0};
-    std::atomic<bool> referenced{false};  ///< CLOCK second-chance bit
-    /// Save epoch of the last insert or hit; snapshot compaction drops the
-    /// oldest generations first when the byte cap binds.
-    std::atomic<std::uint64_t> generation{0};
-    std::atomic<std::shared_ptr<const Entry>> entry;
-  };
-
-  struct Shard {
-    std::unique_ptr<Slot[]> slots;
-    std::size_t slot_count = 0;
-    std::mutex insert_mutex;    ///< writers only; the hit path never locks
-    std::size_t clock_hand = 0;  ///< guarded by insert_mutex
-    std::atomic<std::size_t> size{0};
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> insertions{0};
-  };
-
-  Shard& shard_of(const RunKey& key);
-  const Shard& shard_of(const RunKey& key) const;
-  void insert_with_generation(const RunKey& key, const RunResult& result,
-                              std::uint64_t generation);
-
-  std::size_t capacity_;
-  std::string persist_path_;
-  std::size_t max_snapshot_bytes_ = 0;
-  /// Save epoch counter; mutable because a (const) save starts a new epoch.
-  mutable std::atomic<std::uint64_t> generation_{1};
-  std::vector<Shard> shards_;
-
   struct ReplayKeyHash {
     std::size_t operator()(const ReplayKey& key) const;
   };
-  std::size_t replay_capacity_;
-  mutable std::mutex replay_mutex_;  ///< guards everything below
-  std::unordered_map<ReplayKey, RankReplay, ReplayKeyHash> replays_;
-  /// Keys of `replays_` in insertion order (pointers into its nodes, which
-  /// stay put until erased): the front is evicted first.
-  std::deque<const ReplayKey*> replay_order_;
-  std::uint64_t replay_hits_ = 0;
-  std::uint64_t replay_misses_ = 0;
+
+  std::string persist_path_;
+  common::LruMemo<RunKey, RunResult, RunKeyHash> runs_;
+  common::LruMemo<ReplayKey, RankReplay, ReplayKeyHash> replays_;
 };
 
 }  // namespace scc::sim

@@ -2,16 +2,17 @@
 
 #include <array>
 #include <bit>
+#include <utility>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/framed_file.hpp"
 
 namespace scc::tune {
 
 TuningCache::TuningCache(const TuningCacheConfig& config)
-    : capacity_(config.capacity), persist_path_(config.persist_path) {
-  SCC_REQUIRE(capacity_ >= 1, "TuningCache capacity must be >= 1");
+    : persist_path_(config.persist_path),
+      decisions_(config.capacity),
+      class_winners_(config.capacity) {
   if (!persist_path_.empty()) {
     load_snapshot(persist_path_);  // missing/invalid snapshots start cold
   }
@@ -26,70 +27,23 @@ TuningCache::~TuningCache() {
   }
 }
 
-std::optional<TuningDecision> TuningCache::lookup(const TuningKey& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = decisions_.find(key);
-  if (it == decisions_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  return it->second;
-}
-
-void TuningCache::insert(const TuningKey& key, const TuningDecision& decision) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = decisions_.insert_or_assign(key, decision);
-  ++insertions_;
-  if (!inserted) return;  // refresh in place, order unchanged
-  insertion_order_.push_back(key);
-  while (decisions_.size() > capacity_) {
-    decisions_.erase(insertion_order_.front());
-    insertion_order_.pop_front();
-  }
-}
-
-std::optional<Candidate> TuningCache::class_winner(std::uint64_t class_key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = class_winners_.find(class_key);
-  if (it == class_winners_.end()) return std::nullopt;
-  return it->second;
-}
-
-void TuningCache::note_class_winner(std::uint64_t class_key, const Candidate& candidate) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = class_winners_.insert_or_assign(class_key, candidate);
-  if (!inserted) return;
-  class_order_.push_back(class_key);
-  while (class_winners_.size() > capacity_) {
-    class_winners_.erase(class_order_.front());
-    class_order_.pop_front();
-  }
-}
-
 TuningCache::Stats TuningCache::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Stats stats;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.insertions = insertions_;
-  stats.size = decisions_.size();
-  stats.capacity = capacity_;
-  stats.class_entries = class_winners_.size();
-  return stats;
-}
-
-std::size_t TuningCache::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return decisions_.size();
+  const common::LruStats decisions = decisions_.stats();
+  return Stats{.hits = decisions.hits,
+               .misses = decisions.misses,
+               .insertions = decisions.insertions,
+               .size = decisions.size,
+               .capacity = decisions.capacity,
+               .class_entries = class_winners_.stats().size};
 }
 
 // ---- Snapshot persistence ----
 //
 // A snapshot is a common::framed_file whose payload holds the decisions
 // (count, then key and fields of each) and then the class winners (count,
-// then key and candidate of each), both in FIFO order, so a restored cache
-// evicts the same keys as the cache that saved it.
+// then key and candidate of each), both least recently used first and
+// loaded back in that order, so a restored cache evicts the same keys as
+// the cache that saved it.
 
 namespace {
 
@@ -122,18 +76,25 @@ void transfer(Io& io, Key& key, D& decision) {
 }  // namespace
 
 bool TuningCache::save_snapshot(const std::string& path) const {
-  common::FrameWriter payload;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    payload(insertion_order_.size());
-    for (const TuningKey& key : insertion_order_) transfer(payload, key, decisions_.at(key));
-    payload(class_order_.size());
-    for (const std::uint64_t key : class_order_) {
-      payload(key);
-      transfer(payload, class_winners_.at(key));
-    }
-  }
-  return common::write_framed_file(path, kSnapshotFormat, {payload.data()});
+  std::uint64_t decision_count = 0;
+  common::FrameWriter decisions;
+  decisions_.for_each([&](const TuningKey& key, const TuningDecision& decision) {
+    transfer(decisions, key, decision);
+    ++decision_count;
+  });
+  std::uint64_t winner_count = 0;
+  common::FrameWriter winners;
+  class_winners_.for_each([&](std::uint64_t key, const Candidate& candidate) {
+    winners(key);
+    transfer(winners, candidate);
+    ++winner_count;
+  });
+  common::FrameWriter decisions_header, winners_header;
+  decisions_header(decision_count);
+  winners_header(winner_count);
+  return common::write_framed_file(
+      path, kSnapshotFormat,
+      {decisions_header.data(), decisions.data(), winners_header.data(), winners.data()});
 }
 
 bool TuningCache::load_snapshot(const std::string& path) {

@@ -1,13 +1,13 @@
 // sim::RunCache: content-keyed memoization of Engine::run. The contract is
 // (a) the key covers exactly what the simulated numbers depend on -- matrix
 // structure, effective core table, spec knobs, engine config -- and nothing
-// else, (b) LRU-like (CLOCK/second-chance) eviction with a hard capacity
-// bound that holds at any shard count, (c) a hit is a deep copy bit-exact
-// versus the cold simulation that produced it -- also after a snapshot
-// round trip through disk -- (d) the lock-free hit path stays sane
-// under concurrent readers and writers, and (e) a whole-run miss serves
-// every rank whose replay any same-size core set stored, bit-exact versus
-// a cache-less engine, while every replay input forces a fresh replay.
+// else, (b) least-recently-used eviction with a hard capacity bound, also
+// after a snapshot round trip, (c) a hit is a deep copy bit-exact versus
+// the cold simulation that produced it -- also after a snapshot round trip
+// through disk -- (d) hits and inserts stay sane under concurrent readers
+// and writers, and (e) a whole-run miss serves every rank whose replay any
+// same-size core set stored, bit-exact versus a cache-less engine, while
+// every replay input forces a fresh replay.
 #include "sim/run_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -280,6 +280,13 @@ TEST(RunCache, RejectsZeroCapacity) {
   EXPECT_THROW(RunCache cache(RunCacheConfig{.capacity = 0}), std::invalid_argument);
 }
 
+TEST(RunCache, RejectsNonZeroPlaceholderFields) {
+  EXPECT_THROW(RunCache cache(RunCacheConfig{.capacity = 4, .shards = 2}),
+               std::invalid_argument);
+  EXPECT_THROW(RunCache cache(RunCacheConfig{.capacity = 4, .max_snapshot_bytes = 1}),
+               std::invalid_argument);
+}
+
 TEST(RunCache, EngineHitIsBitExactVersusColdRun) {
   const auto m = test_matrix();
   Engine cached;
@@ -414,99 +421,11 @@ TEST(RunCache, ColdAndSteadyStateEnginesShareACacheWithoutCollisions) {
   EXPECT_EQ(cache->misses(), 2u);
 }
 
-// ---- Sharding ----
-
-TEST(RunCacheSharded, ShardCountIsInvariantForLookupResults) {
-  // The same insert/lookup stream against 1, 4 and 16 shards returns the
-  // same values -- sharding is a concurrency detail, not a semantic one.
-  // Capacity is generous (64 slots even in the smallest shard) so no
-  // distribution of the 64 keys can overflow a shard and evict.
-  constexpr std::size_t kKeys = 64;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    RunCacheConfig config;
-    config.capacity = 1024;
-    config.shards = shards;
-    RunCache cache(config);
-    EXPECT_EQ(cache.shard_count(), shards);
-    EXPECT_EQ(cache.capacity(), 1024u);
-    for (std::size_t i = 0; i < kKeys; ++i) {
-      cache.insert(RunKey{i * 2654435761ULL + 17, ~i * 0x9e3779b97f4a7c15ULL},
-                   stub_result(1.0 + static_cast<double>(i)));
-    }
-    EXPECT_EQ(cache.size(), kKeys);
-    for (std::size_t i = 0; i < kKeys; ++i) {
-      const auto hit = cache.lookup(RunKey{i * 2654435761ULL + 17, ~i * 0x9e3779b97f4a7c15ULL});
-      ASSERT_TRUE(hit.has_value()) << "shards=" << shards << " key " << i;
-      EXPECT_EQ(hit->seconds, 1.0 + static_cast<double>(i));
-    }
-    EXPECT_EQ(cache.hits(), kKeys);
-  }
-}
-
-TEST(RunCacheSharded, ShardCountRoundsUpToAPowerOfTwo) {
-  RunCacheConfig config;
-  config.capacity = 64;
-  config.shards = 3;
-  const RunCache cache(config);
-  EXPECT_EQ(cache.shard_count(), 4u);
-}
-
-TEST(RunCacheSharded, AutoShardingNeverExceedsTheCapacity) {
-  for (const std::size_t capacity : {std::size_t{1}, std::size_t{2}, std::size_t{5},
-                                     std::size_t{128}, std::size_t{1000}}) {
-    RunCacheConfig config;
-    config.capacity = capacity;
-    const RunCache cache(config);
-    EXPECT_GE(cache.shard_count(), 1u);
-    EXPECT_LE(cache.shard_count(), capacity);
-    EXPECT_EQ(cache.capacity(), capacity);
-  }
-}
-
-TEST(RunCacheSharded, StatsAggregatePerShardCounters) {
-  // 16 slots per shard: even if all 8 keys land in one shard nothing evicts.
-  RunCacheConfig config;
-  config.capacity = 64;
-  config.shards = 4;
-  RunCache cache(config);
-  for (std::size_t i = 0; i < 8; ++i) {
-    cache.insert(RunKey{i, ~i}, stub_result(1.0));
-  }
-  for (std::size_t i = 0; i < 8; ++i) cache.lookup(RunKey{i, ~i});        // hits
-  for (std::size_t i = 100; i < 104; ++i) cache.lookup(RunKey{i, ~i});    // misses
-
-  const RunCache::Stats stats = cache.stats();
-  ASSERT_EQ(stats.per_shard.size(), 4u);
-  std::uint64_t hits = 0, misses = 0;
-  std::size_t size = 0, capacity = 0;
-  for (const RunCache::ShardStats& shard : stats.per_shard) {
-    hits += shard.hits;
-    misses += shard.misses;
-    size += shard.size;
-    capacity += shard.capacity;
-    EXPECT_GE(shard.load_factor(), 0.0);
-    EXPECT_LE(shard.load_factor(), 1.0);
-  }
-  EXPECT_EQ(stats.total.hits, 8u);
-  EXPECT_EQ(stats.total.misses, 4u);
-  EXPECT_EQ(stats.total.size, 8u);
-  EXPECT_EQ(stats.total.capacity, 64u);
-  // The totals are exactly the shard sums -- per-shard atomics are the only
-  // counters, so nothing is double-counted however many engines share us.
-  EXPECT_EQ(stats.total.hits, hits);
-  EXPECT_EQ(stats.total.misses, misses);
-  EXPECT_EQ(stats.total.size, size);
-  EXPECT_EQ(stats.total.capacity, capacity);
-}
-
-TEST(RunCacheSharded, ConcurrentHitsAndInsertsStaySane) {
-  // TSan-facing hammer: readers on the lock-free hit path race writers
-  // inserting fresh and overlapping keys. Values must never tear -- every
-  // hit returns one of the exact payloads some writer published.
-  RunCacheConfig config;
-  config.capacity = 32;
-  config.shards = 4;
-  RunCache cache(config);
+TEST(RunCache, ConcurrentHitsAndInsertsStaySane) {
+  // TSan-facing hammer: readers race writers inserting fresh and
+  // overlapping keys. Values must never tear -- every hit returns one of the
+  // exact payloads some writer published.
+  RunCache cache(RunCacheConfig{.capacity = 32});
   constexpr int kWriters = 2, kReaders = 4, kRounds = 400;
 
   std::vector<std::thread> threads;
@@ -554,7 +473,7 @@ struct SnapshotFile {
 TEST(RunCachePersist, SnapshotRoundTripsBitExactEngineResults) {
   const auto m = test_matrix();
   Engine engine;
-  auto cache = std::make_shared<RunCache>(RunCacheConfig{8, 2, ""});
+  auto cache = std::make_shared<RunCache>(RunCacheConfig{.capacity = 8});
   engine.attach_run_cache(cache);
   RunSpec spec;
   spec.ue_count = 6;
@@ -568,8 +487,7 @@ TEST(RunCachePersist, SnapshotRoundTripsBitExactEngineResults) {
   const SnapshotFile file("scc_runcache_roundtrip.snapshot");
   ASSERT_TRUE(cache->save_snapshot(file.path));
 
-  // Different sharding on purpose.
-  const auto restored = std::make_shared<RunCache>(RunCacheConfig{8, 4, ""});
+  const auto restored = std::make_shared<RunCache>(RunCacheConfig{.capacity = 8});
   ASSERT_TRUE(restored->load_snapshot(file.path));
   EXPECT_EQ(restored->size(), cache->size());
 
@@ -591,12 +509,12 @@ TEST(RunCachePersist, ConfigPathLoadsOnConstructionAndSavesOnDestruction) {
   const SnapshotFile file("scc_runcache_lifecycle.snapshot");
   const RunKey key{42, 43};
   {
-    RunCache cache(RunCacheConfig{4, 1, file.path});
+    RunCache cache(RunCacheConfig{.capacity = 4, .persist_path = file.path});
     cache.insert(key, stub_result(0.25));
   }  // destructor snapshots
   ASSERT_TRUE(std::filesystem::exists(file.path));
   {
-    RunCache cache(RunCacheConfig{4, 2, file.path});
+    RunCache cache(RunCacheConfig{.capacity = 4, .persist_path = file.path});
     const auto hit = cache.lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->seconds, 0.25);
@@ -605,7 +523,7 @@ TEST(RunCachePersist, ConfigPathLoadsOnConstructionAndSavesOnDestruction) {
 
 TEST(RunCachePersist, MissingCorruptTruncatedAndStaleSnapshotsAreRejected) {
   const SnapshotFile file("scc_runcache_invalid.snapshot");
-  RunCache cache(RunCacheConfig{4, 1, ""});
+  RunCache cache(RunCacheConfig{.capacity = 4});
 
   // Missing file: clean refusal, cache untouched.
   EXPECT_FALSE(cache.load_snapshot(file.path));
@@ -628,7 +546,7 @@ TEST(RunCachePersist, MissingCorruptTruncatedAndStaleSnapshotsAreRejected) {
   std::string bad = good;
   bad[0] ^= 0x5a;
   dump(bad);
-  RunCache victim(RunCacheConfig{4, 1, ""});
+  RunCache victim(RunCacheConfig{.capacity = 4});
   EXPECT_FALSE(victim.load_snapshot(file.path));
   EXPECT_EQ(victim.size(), 0u);
 
@@ -658,89 +576,33 @@ TEST(RunCachePersist, MissingCorruptTruncatedAndStaleSnapshotsAreRejected) {
   EXPECT_EQ(victim.lookup(RunKey{7, 8})->seconds, 0.5);
 }
 
-TEST(RunCachePersist, GenerationAdvancesOnSaveAndResumesPastSnapshots) {
-  const SnapshotFile file("scc_runcache_generation.snapshot");
-  RunCache cache(RunCacheConfig{8, 1, ""});
-  EXPECT_EQ(cache.generation(), 1u);
-  cache.insert(RunKey{1, 1}, stub_result(0.5));
-  ASSERT_TRUE(cache.save_snapshot(file.path));
-  EXPECT_EQ(cache.generation(), 2u);  // a save closes the epoch
-  cache.insert(RunKey{2, 2}, stub_result(0.75));
-  ASSERT_TRUE(cache.save_snapshot(file.path));
-  EXPECT_EQ(cache.generation(), 3u);
-
-  // Loading resumes past the newest persisted epoch, so entries inserted
-  // after a restore always sort as fresher than everything on disk.
-  RunCache restored(RunCacheConfig{8, 1, ""});
+TEST(RunCachePersist, SnapshotRoundTripKeepsLruEvictionOrder) {
+  const SnapshotFile file("scc_runcache_recency.snapshot");
+  RunCache live(RunCacheConfig{.capacity = 3});
+  for (const std::uint64_t key : {2u, 7u, 4u}) live.insert(RunKey{key, 0}, stub_result(1.0));
+  ASSERT_TRUE(live.lookup(RunKey{2, 0}).has_value());  // 7 is now the least recent
+  ASSERT_TRUE(live.save_snapshot(file.path));
+  RunCache restored(RunCacheConfig{.capacity = 3});
   ASSERT_TRUE(restored.load_snapshot(file.path));
-  EXPECT_EQ(restored.generation(), 3u);
-  EXPECT_EQ(restored.size(), 2u);
-}
-
-TEST(RunCachePersist, ByteCapCompactsOldestGenerationsFirst) {
-  const SnapshotFile file("scc_runcache_compaction.snapshot");
-
-  // Measure the header and per-entry footprint from uncapped snapshots so
-  // the cap below is exact whatever the serialization layout is. Stub
-  // results all serialize to the same size.
-  std::size_t one_entry = 0, two_entries = 0;
-  {
-    RunCache probe(RunCacheConfig{8, 1, ""});
-    probe.insert(RunKey{1, 1}, stub_result(1.0));
-    ASSERT_TRUE(probe.save_snapshot(file.path));
-    one_entry = std::filesystem::file_size(file.path);
-    probe.insert(RunKey{2, 2}, stub_result(2.0));
-    ASSERT_TRUE(probe.save_snapshot(file.path));
-    two_entries = std::filesystem::file_size(file.path);
+  // Both caches evict 7 -- neither the oldest insert nor the smallest key --
+  // and then 4.
+  for (RunCache* cache : {&live, &restored}) {
+    cache->insert(RunKey{9, 0}, stub_result(2.0));
+    EXPECT_FALSE(cache->lookup(RunKey{7, 0}).has_value());
+    cache->insert(RunKey{8, 0}, stub_result(2.0));
+    EXPECT_FALSE(cache->lookup(RunKey{4, 0}).has_value());
+    for (const std::uint64_t key : {2u, 9u, 8u}) {
+      EXPECT_TRUE(cache->lookup(RunKey{key, 0}).has_value()) << key;
+    }
   }
-  const std::size_t entry_bytes = two_entries - one_entry;
-  ASSERT_GT(entry_bytes, 0u);
-
-  // Four entries across two generations, capped to fit only two: the two
-  // newer-generation entries survive, the older epoch is dropped.
-  RunCacheConfig config{16, 1, ""};
-  config.max_snapshot_bytes = two_entries;
-  RunCache cache(config);
-  EXPECT_EQ(cache.max_snapshot_bytes(), two_entries);
-  cache.insert(RunKey{10, 0}, stub_result(1.0));
-  cache.insert(RunKey{11, 0}, stub_result(2.0));
-  ASSERT_TRUE(cache.save_snapshot(file.path));  // gen 1 persisted, epoch -> 2
-  cache.insert(RunKey{20, 0}, stub_result(3.0));
-  cache.insert(RunKey{21, 0}, stub_result(4.0));
-  ASSERT_TRUE(cache.save_snapshot(file.path));
-  EXPECT_LE(std::filesystem::file_size(file.path), two_entries);
-
-  RunCache restored(RunCacheConfig{16, 1, ""});
-  ASSERT_TRUE(restored.load_snapshot(file.path));
-  EXPECT_EQ(restored.size(), 2u);
-  EXPECT_FALSE(restored.lookup(RunKey{10, 0}).has_value());
-  EXPECT_FALSE(restored.lookup(RunKey{11, 0}).has_value());
-  EXPECT_TRUE(restored.lookup(RunKey{20, 0}).has_value());
-  EXPECT_TRUE(restored.lookup(RunKey{21, 0}).has_value());
-
-  // A lookup refreshes its entry's generation, so a hot old entry outlives
-  // a cold newer one under the same cap.
-  RunCacheConfig hot_config{16, 1, ""};
-  hot_config.max_snapshot_bytes = one_entry;
-  RunCache hot(hot_config);
-  hot.insert(RunKey{30, 0}, stub_result(1.0));
-  ASSERT_TRUE(hot.save_snapshot(file.path));  // epoch -> 2
-  hot.insert(RunKey{31, 0}, stub_result(2.0));
-  ASSERT_TRUE(hot.save_snapshot(file.path));  // epoch -> 3
-  EXPECT_TRUE(hot.lookup(RunKey{30, 0}).has_value());  // refresh to gen 3
-  ASSERT_TRUE(hot.save_snapshot(file.path));
-  RunCache survivor(RunCacheConfig{16, 1, ""});
-  ASSERT_TRUE(survivor.load_snapshot(file.path));
-  EXPECT_EQ(survivor.size(), 1u);
-  EXPECT_TRUE(survivor.lookup(RunKey{30, 0}).has_value());
 }
 
 TEST(RunCachePersist, UnboundedCapKeepsEveryEntry) {
   const SnapshotFile file("scc_runcache_uncapped.snapshot");
-  RunCache cache(RunCacheConfig{64, 1, ""});  // max_snapshot_bytes defaults to 0
+  RunCache cache(RunCacheConfig{.capacity = 64});
   for (std::uint64_t i = 0; i < 20; ++i) cache.insert(RunKey{i, i}, stub_result(1.0));
   ASSERT_TRUE(cache.save_snapshot(file.path));
-  RunCache restored(RunCacheConfig{64, 1, ""});
+  RunCache restored(RunCacheConfig{.capacity = 64});
   ASSERT_TRUE(restored.load_snapshot(file.path));
   EXPECT_EQ(restored.size(), 20u);
 }
@@ -820,7 +682,7 @@ TEST(ReplayReuse, OtherSameSizeCoreSetsReuseEveryRankBitExactly) {
       Engine primer(base);
       primer.attach_run_cache(cache);
       primer.run(m, spec_on(c, primed));
-      ASSERT_EQ(cache->stats().replay_misses, 6u) << c.name;
+      ASSERT_EQ(cache->stats().replays.misses, 6u) << c.name;
 
       struct Variant {
         const char* what;
@@ -846,9 +708,9 @@ TEST(ReplayReuse, OtherSameSizeCoreSetsReuseEveryRankBitExactly) {
         const RunCache::Stats after = cache->stats();
         const std::string where =
             std::string(c.name) + " / " + v.what + (steady_state ? " / warm" : " / cold");
-        EXPECT_EQ(after.total.misses, before.total.misses + 1) << where;
-        EXPECT_EQ(after.replay_hits, before.replay_hits + 6) << where;
-        EXPECT_EQ(after.replay_misses, before.replay_misses) << where;
+        EXPECT_EQ(after.runs.misses, before.runs.misses + 1) << where;
+        EXPECT_EQ(after.replays.hits, before.replays.hits + 6) << where;
+        EXPECT_EQ(after.replays.misses, before.replays.misses) << where;
         EXPECT_EQ(report_of(v.config, v.spec, result), truth_of(v.config, m, v.spec)) << where;
       }
     }
@@ -860,13 +722,13 @@ TEST(ReplayReuse, PartlyStoredRunsMixHitsAndReplaysInRankOrder) {
   // A 48-rank run elsewhere then serves those 8 and replays 40, and a
   // traced one still emits one core_trace span per rank, in rank order.
   const auto m = replay_matrix();
-  auto cache = std::make_shared<RunCache>(RunCacheConfig{1, 1, ""});
+  auto cache = std::make_shared<RunCache>(RunCacheConfig{.capacity = 1});
   Engine engine;
   engine.attach_run_cache(cache);
   RunSpec spec;
   spec.ue_count = 48;
   engine.run(m, spec);
-  EXPECT_EQ(cache->stats().replay_size, RunCache::kReplaysPerEntry);
+  EXPECT_EQ(cache->stats().replays.size, RunCache::kReplaysPerEntry);
 
   for (const int threads : {1, 3}) {
     const ThreadGuard guard(threads);
@@ -878,8 +740,8 @@ TEST(ReplayReuse, PartlyStoredRunsMixHitsAndReplaysInRankOrder) {
     const RunCache::Stats before = cache->stats();
     const RunResult result = engine.run(m, moved);
     const RunCache::Stats after = cache->stats();
-    EXPECT_EQ(after.replay_hits - before.replay_hits, 8u);
-    EXPECT_EQ(after.replay_misses - before.replay_misses, 40u);
+    EXPECT_EQ(after.replays.hits - before.replays.hits, 8u);
+    EXPECT_EQ(after.replays.misses - before.replays.misses, 40u);
     moved.recorder = nullptr;
     EXPECT_EQ(report_of(EngineConfig{}, moved, result), truth_of(EngineConfig{}, m, moved));
 
@@ -987,8 +849,8 @@ TEST(ReplayReuse, EveryReplayInputForcesAReplay) {
     const RunCache::Stats before = cache->stats();
     const RunResult result = engine.run(change.matrix, change.spec);
     const RunCache::Stats after = cache->stats();
-    EXPECT_EQ(after.replay_hits, before.replay_hits) << change.what;
-    EXPECT_EQ(after.replay_misses - before.replay_misses, change.spec.cores.size())
+    EXPECT_EQ(after.replays.hits, before.replays.hits) << change.what;
+    EXPECT_EQ(after.replays.misses - before.replays.misses, change.spec.cores.size())
         << change.what;
     EXPECT_EQ(report_of(change.config, change.spec, result),
               truth_of(change.config, change.matrix, change.spec))
@@ -1028,39 +890,46 @@ TEST(ReplayReuse, KeyCoversEachCacheGeometryWordAndNothingCoreDependent) {
   EXPECT_EQ(replay_key(m, priced, placed, block, true), key);
 }
 
-TEST(ReplayReuse, TableStaysWithinItsBoundEvictsOldestFirstAndClears) {
-  RunCache cache(RunCacheConfig{2, 1, ""});
+TEST(ReplayReuse, TableStaysWithinItsBoundAndEvictsLeastRecentlyUsed) {
+  RunCache cache(RunCacheConfig{.capacity = 2});
   const std::size_t bound = 2 * RunCache::kReplaysPerEntry;
   EXPECT_EQ(cache.replay_capacity(), bound);
   const auto key = [](std::uint64_t i) { return ReplayKey{.matrix = i + 1}; };
+  const auto replay = [](std::uint64_t rows) {
+    return RankReplay{.trace = {}, .elements = 0.0, .rows = static_cast<double>(rows)};
+  };
   for (std::uint64_t i = 0; i < 50; ++i) {
-    cache.insert_replay(key(i), RankReplay{.trace = {}, .elements = 0.0,
-                                           .rows = static_cast<double>(i)});
-    EXPECT_LE(cache.stats().replay_size, bound);
+    cache.insert_replay(key(i), replay(i));
+    EXPECT_LE(cache.stats().replays.size, bound);
   }
-  cache.insert_replay(key(49), RankReplay{});  // present: neither stored twice nor replaced
-  EXPECT_EQ(cache.stats().replay_size, bound);
+  EXPECT_EQ(cache.stats().replays.size, bound);
   EXPECT_FALSE(cache.lookup_replay(key(50 - bound - 1)).has_value());
-  const auto oldest_kept = cache.lookup_replay(key(50 - bound));
+  const std::uint64_t oldest = 50 - bound;
+  const auto oldest_kept = cache.lookup_replay(key(oldest));  // now the most recent
   ASSERT_TRUE(oldest_kept.has_value());
-  EXPECT_EQ(oldest_kept->rows, static_cast<double>(50 - bound));
-  EXPECT_EQ(cache.lookup_replay(key(49))->rows, 49.0);
+  EXPECT_EQ(oldest_kept->rows, static_cast<double>(oldest));
 
-  cache.clear();
-  EXPECT_EQ(cache.stats().replay_size, 0u);
-  EXPECT_FALSE(cache.lookup_replay(key(49)).has_value());
+  // A present key is replaced, not stored twice; a new key then evicts the
+  // least recent one, which the lookup above made oldest + 1.
+  cache.insert_replay(key(49), replay(7));
+  EXPECT_EQ(cache.stats().replays.size, bound);
+  EXPECT_EQ(cache.lookup_replay(key(49))->rows, 7.0);
+  cache.insert_replay(key(50), replay(50));
+  EXPECT_TRUE(cache.lookup_replay(key(oldest)).has_value());
+  EXPECT_FALSE(cache.lookup_replay(key(oldest + 1)).has_value());
+  EXPECT_EQ(cache.stats().replays.evictions, 50 - bound + 1);
 }
 
 TEST(ReplayReuse, SnapshotsNeitherWriteNorNeedTheReplayTable) {
-  static_assert(RunCache::kSnapshotVersion == 4);
+  static_assert(RunCache::kSnapshotVersion == 5);
   const auto m = test_matrix();
-  auto cache = std::make_shared<RunCache>(RunCacheConfig{8, 2, ""});
+  auto cache = std::make_shared<RunCache>(RunCacheConfig{.capacity = 8});
   Engine engine;
   engine.attach_run_cache(cache);
   RunSpec spec;
   spec.ue_count = 6;
   const RunResult truth = engine.run(m, spec);
-  ASSERT_EQ(cache->stats().replay_size, 6u);
+  ASSERT_EQ(cache->stats().replays.size, 6u);
 
   const auto bytes_of = [](const std::string& path) {
     std::ifstream in(path, std::ios::binary);
@@ -1073,15 +942,15 @@ TEST(ReplayReuse, SnapshotsNeitherWriteNorNeedTheReplayTable) {
   ASSERT_TRUE(cache->save_snapshot(second.path));
   EXPECT_EQ(bytes_of(first.path), bytes_of(second.path));
 
-  const auto restored = std::make_shared<RunCache>(RunCacheConfig{8, 2, ""});
+  const auto restored = std::make_shared<RunCache>(RunCacheConfig{.capacity = 8});
   ASSERT_TRUE(restored->load_snapshot(first.path));
-  EXPECT_EQ(restored->stats().replay_size, 0u);
+  EXPECT_EQ(restored->stats().replays.size, 0u);
   Engine replay;
   replay.attach_run_cache(restored);
   EXPECT_EQ(report_of(EngineConfig{}, spec, replay.run(m, spec)),
             report_of(EngineConfig{}, spec, truth));
   EXPECT_EQ(restored->hits(), 1u);
-  EXPECT_EQ(restored->stats().replay_hits + restored->stats().replay_misses, 0u);
+  EXPECT_EQ(restored->stats().replays.hits + restored->stats().replays.misses, 0u);
 }
 
 TEST(ReplayReuse, ConcurrentEnginesOnDifferentCoreSetsShareOneTable) {
@@ -1125,13 +994,13 @@ TEST(ReplayReuse, ConcurrentEnginesOnDifferentCoreSetsShareOneTable) {
     }
   }
   const RunCache::Stats stats = cache->stats();
-  EXPECT_EQ(stats.total.misses, static_cast<std::uint64_t>(kThreads * kRounds));
-  EXPECT_EQ(stats.replay_hits + stats.replay_misses, kThreads * kRounds * kRanks);
+  EXPECT_EQ(stats.runs.misses, static_cast<std::uint64_t>(kThreads * kRounds));
+  EXPECT_EQ(stats.replays.hits + stats.replays.misses, kThreads * kRounds * kRanks);
   // Two trace kinds of kRanks blocks each; racing first runs may replay a
   // rank more than once, but each thread's later CSR run finds its own.
-  EXPECT_EQ(stats.replay_size, 2 * kRanks);
-  EXPECT_LE(stats.replay_misses, 2 * kThreads * kRanks);
-  EXPECT_GE(stats.replay_hits, static_cast<std::uint64_t>(kThreads) * kRanks);
+  EXPECT_EQ(stats.replays.size, 2 * kRanks);
+  EXPECT_LE(stats.replays.misses, 2 * kThreads * kRanks);
+  EXPECT_GE(stats.replays.hits, static_cast<std::uint64_t>(kThreads) * kRanks);
 }
 
 TEST(ReplayReuse, RunReportCarriesTheReplayCounters) {
@@ -1174,16 +1043,16 @@ std::string stats_event_attr(const obs::Recorder& recorder, const std::string& k
 void expect_replay_exports(const obs::Recorder& recorder, const RunCache& cache) {
   const RunCache::Stats stats = cache.stats();
   const obs::Json gauges = recorder.metrics().to_json().at("gauges");
-  EXPECT_GT(stats.replay_misses, 0u);
+  EXPECT_GT(stats.replays.misses, 0u);
   EXPECT_EQ(gauges.at("run_cache.replay_hits").as_double(),
-            static_cast<double>(stats.replay_hits));
+            static_cast<double>(stats.replays.hits));
   EXPECT_EQ(gauges.at("run_cache.replay_misses").as_double(),
-            static_cast<double>(stats.replay_misses));
+            static_cast<double>(stats.replays.misses));
   EXPECT_EQ(gauges.at("run_cache.replay_size").as_double(),
-            static_cast<double>(stats.replay_size));
-  EXPECT_EQ(stats_event_attr(recorder, "replay_hits"), std::to_string(stats.replay_hits));
-  EXPECT_EQ(stats_event_attr(recorder, "replay_misses"), std::to_string(stats.replay_misses));
-  EXPECT_EQ(stats_event_attr(recorder, "replay_size"), std::to_string(stats.replay_size));
+            static_cast<double>(stats.replays.size));
+  EXPECT_EQ(stats_event_attr(recorder, "replay_hits"), std::to_string(stats.replays.hits));
+  EXPECT_EQ(stats_event_attr(recorder, "replay_misses"), std::to_string(stats.replays.misses));
+  EXPECT_EQ(stats_event_attr(recorder, "replay_size"), std::to_string(stats.replays.size));
 }
 
 TEST(ReplayReuse, TracedServeAndClusterRunsExportTheReplayCounters) {

@@ -323,8 +323,7 @@ TEST(CliServe, NumericFlagsMustParseWhole) {
 }
 
 TEST(CliServe, SizeFlagsRejectNegatives) {
-  for (const char* flag : {"run-cache-capacity", "run-cache-shards", "run-cache-max-bytes",
-                           "tuning-cache-capacity"}) {
+  for (const char* flag : {"run-cache-capacity", "tuning-cache-capacity"}) {
     const std::string arg = std::string("--") + flag + "=-1";
     std::ostringstream out, err;
     EXPECT_EQ(run_cli(make({"serve", "--requests=5", arg.c_str()}), out, err), 1) << flag;
@@ -574,6 +573,8 @@ TEST(CliIntegrity, MalformedIntegrityFlagsRejectedWithActionableErrors) {
                "unknown memory region");
   expect_error({"resilience", matrix_arg.c_str(), "--mem-corrupt=99:val:3:4"},
                "out of range");
+  expect_error({"resilience", matrix_arg.c_str(), "--mem-corrupt=0:val:-3:4"},
+               "--mem-corrupt element -3 must be >= 0");
   expect_error({"resilience", matrix_arg.c_str(), "--mem-corrupt-rate=2"},
                "--mem-corrupt-rate");
 }
@@ -627,6 +628,16 @@ TEST(CliServe, ListFlagsParseWholeTokens) {
   expect_cli_error({"autotune", "--mix=26x"}, "--mix expects an integer, got '26x'");
   expect_cli_error({"resilience", "--family=banded", "--n=200", "--ues=4", "--kill-ranks=1,"},
                    "--kill-ranks has an empty item");
+  // 2^32 + 1 would narrow to rank 1.
+  expect_cli_error({"resilience", "--family=banded", "--n=200", "--ues=4",
+                    "--mem-corrupt=4294967297:val:0:1"},
+                   "--mem-corrupt is out of range, got '4294967297'");
+  expect_cli_error({"resilience", "--family=banded", "--n=200", "--ues=4",
+                    "--mem-corrupt=1:val:0:1,,2:val:0:1"},
+                   "--mem-corrupt has an empty item");
+  expect_cli_error({"resilience", "--family=banded", "--n=200", "--ues=4",
+                    "--mem-corrupt=1:val:0:+1"},
+                   "--mem-corrupt expects an integer, got '+1'");
   expect_cli_error({"serve", "--requests=5", "--sdc-rate=0.5", "--sdc-bits=+1:3"},
                    "--sdc-bits expects an integer, got '+1'");
   expect_cli_error({"serve", "--requests=5", "--sdc-rate=0.5", "--sdc-bits=1:3:5"},

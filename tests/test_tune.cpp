@@ -110,7 +110,7 @@ std::string decide_log(int threads, bool with_run_cache) {
   auto cache = std::make_shared<tune::TuningCache>();
   std::shared_ptr<sim::RunCache> run_cache;
   if (with_run_cache) {
-    run_cache = std::make_shared<sim::RunCache>(sim::RunCacheConfig{256, 4, ""});
+    run_cache = std::make_shared<sim::RunCache>(sim::RunCacheConfig{.capacity = 256});
   }
   tune::Autotuner tuner(sim::EngineConfig{}, tune::AutotuneConfig{}, cache, run_cache);
   tuner.decide(tuning_matrix(), 7);
@@ -143,19 +143,19 @@ TEST(TuneAutotuner, SecondDecideIsServedFromTheTuningCache) {
 }
 
 TEST(TuneAutotuner, SharedRunCacheMakesExplorationReplayFree) {
-  auto run_cache = std::make_shared<sim::RunCache>(sim::RunCacheConfig{512, 4, ""});
+  auto run_cache = std::make_shared<sim::RunCache>(sim::RunCacheConfig{.capacity = 512});
   auto cache_a = std::make_shared<tune::TuningCache>();
   tune::Autotuner first(sim::EngineConfig{}, tune::AutotuneConfig{}, cache_a, run_cache);
   first.decide(tuning_matrix());
-  const std::uint64_t misses_after_first = run_cache->stats().total.misses;
+  const std::uint64_t misses_after_first = run_cache->stats().runs.misses;
   EXPECT_GT(misses_after_first, 0u);
   // A second tuner with a FRESH TuningCache re-explores the grid, but every
   // engine evaluation replays from the shared RunCache.
   auto cache_b = std::make_shared<tune::TuningCache>();
   tune::Autotuner second(sim::EngineConfig{}, tune::AutotuneConfig{}, cache_b, run_cache);
   second.decide(tuning_matrix());
-  EXPECT_EQ(run_cache->stats().total.misses, misses_after_first);
-  EXPECT_GT(run_cache->stats().total.hits, 0u);
+  EXPECT_EQ(run_cache->stats().runs.misses, misses_after_first);
+  EXPECT_GT(run_cache->stats().runs.hits, 0u);
   EXPECT_EQ(second.decision_log_text(), first.decision_log_text());
 }
 
@@ -236,7 +236,7 @@ TEST(TuneCache, BoundedFifoEvictsOldestDecisionFirst) {
     cache.insert(tune::TuningKey{i, 0}, stub_decision(1e-3 * static_cast<double>(i + 1)));
   }
   EXPECT_EQ(cache.size(), 3u);
-  // 0 and 1 were evicted FIFO; 2..4 survive.
+  // 0 and 1, the least recently used, were evicted; 2..4 survive.
   EXPECT_FALSE(cache.lookup(tune::TuningKey{0, 0}).has_value());
   EXPECT_FALSE(cache.lookup(tune::TuningKey{1, 0}).has_value());
   for (std::uint64_t i = 2; i < 5; ++i) {

@@ -233,8 +233,8 @@ serve::ServeConfig serve_config_from(const CliArgs& args) {
 }
 
 /// Run-cache flags shared by `serve` and `cluster`: --no-run-cache disables
-/// memoization outright; --run-cache-capacity / --run-cache-shards size the
-/// sharded cache; --run-cache-file persists it across processes.
+/// memoization outright; --run-cache-capacity bounds the cache;
+/// --run-cache-file persists it across processes.
 serve::MatrixPool matrix_pool_from(const CliArgs& args) {
   const double scale = testbed::suite_scale_from_env();
   if (args.get_bool_or("no-run-cache", false)) {
@@ -242,9 +242,7 @@ serve::MatrixPool matrix_pool_from(const CliArgs& args) {
   }
   sim::RunCacheConfig cache;
   cache.capacity = args.get_size_or("run-cache-capacity", cache.capacity);
-  cache.shards = args.get_size_or("run-cache-shards", cache.shards);
   cache.persist_path = args.get_or("run-cache-file", "");
-  cache.max_snapshot_bytes = args.get_size_or("run-cache-max-bytes", cache.max_snapshot_bytes);
   return serve::MatrixPool(scale, cache);
 }
 
@@ -513,49 +511,26 @@ int cmd_resilience(const CliArgs& args, std::ostream& out) {
   SCC_REQUIRE(plan.mem_corrupt_rate >= 0.0 && plan.mem_corrupt_rate <= 1.0,
               "--mem-corrupt-rate must be a probability in [0, 1], got "
                   << plan.mem_corrupt_rate);
-  {
-    // --mem-corrupt=RANK:REGION:ELEMENT:BIT,... deterministic bit flips.
-    std::stringstream list(args.get_or("mem-corrupt", ""));
-    std::string item;
-    const auto parse_field = [](const std::string& field, const std::string& spec_text,
-                                const char* what) -> long long {
-      std::size_t used = 0;
-      long long value = -1;
-      try {
-        value = std::stoll(field, &used);
-      } catch (const std::exception&) {
-        used = 0;
-      }
-      SCC_REQUIRE(used == field.size() && !field.empty(),
-                  "--mem-corrupt " << what << " must be an integer in '" << spec_text
-                                   << "' (expected RANK:REGION:ELEMENT:BIT, e.g. 1:val:100:40)");
-      return value;
-    };
-    while (std::getline(list, item, ',')) {
-      if (item.empty()) continue;
-      std::stringstream stream(item);
-      std::string rank_text;
-      std::string region_text;
-      std::string element_text;
-      std::string bit_text;
-      const bool shape = static_cast<bool>(std::getline(stream, rank_text, ':')) &&
-                         static_cast<bool>(std::getline(stream, region_text, ':')) &&
-                         static_cast<bool>(std::getline(stream, element_text, ':')) &&
-                         static_cast<bool>(std::getline(stream, bit_text));
-      SCC_REQUIRE(shape && stream.eof(),
-                  "--mem-corrupt expects RANK:REGION:ELEMENT:BIT (e.g. 1:val:100:40), got '"
-                      << item << "'");
-      fault::Plan::MemCorrupt corrupt;
-      corrupt.rank = static_cast<int>(parse_field(rank_text, item, "RANK"));
-      corrupt.region = fault::parse_mem_region(region_text);
-      corrupt.element = static_cast<std::uint64_t>(parse_field(element_text, item, "ELEMENT"));
-      corrupt.bit = static_cast<int>(parse_field(bit_text, item, "BIT"));
-      SCC_REQUIRE(corrupt.rank >= 0 && corrupt.rank < ues,
-                  "--mem-corrupt rank " << corrupt.rank << " out of range 0.." << ues - 1);
-      SCC_REQUIRE(corrupt.bit >= 0 && corrupt.bit <= 63,
-                  "--mem-corrupt bit " << corrupt.bit << " must be 0..63");
-      plan.mem_corruptions.push_back(corrupt);
-    }
+  // --mem-corrupt=RANK:REGION:ELEMENT:BIT,... deterministic bit flips. The
+  // injector takes ELEMENT modulo the region's size, so an int is enough.
+  const std::string mem_corrupt = args.get_or("mem-corrupt", "");
+  for (const std::string& item : split_items("--mem-corrupt", mem_corrupt, ',')) {
+    const std::vector<std::string> fields = split_items("--mem-corrupt", item, ':');
+    SCC_REQUIRE(fields.size() == 4,
+                "--mem-corrupt expects RANK:REGION:ELEMENT:BIT (e.g. 1:val:100:40), got '"
+                    << item << "'");
+    fault::Plan::MemCorrupt corrupt;
+    corrupt.rank = parse_int_token("--mem-corrupt", fields[0]);
+    corrupt.region = fault::parse_mem_region(fields[1]);
+    const int element = parse_int_token("--mem-corrupt", fields[2]);
+    corrupt.bit = parse_int_token("--mem-corrupt", fields[3]);
+    SCC_REQUIRE(corrupt.rank >= 0 && corrupt.rank < ues,
+                "--mem-corrupt rank " << corrupt.rank << " out of range 0.." << ues - 1);
+    SCC_REQUIRE(element >= 0, "--mem-corrupt element " << element << " must be >= 0");
+    SCC_REQUIRE(corrupt.bit >= 0 && corrupt.bit <= 63,
+                "--mem-corrupt bit " << corrupt.bit << " must be 0..63");
+    corrupt.element = static_cast<std::uint64_t>(element);
+    plan.mem_corruptions.push_back(corrupt);
   }
 
   obs::Recorder recorder;
@@ -1035,14 +1010,12 @@ int run_cli(const CliArgs& args, std::ostream& out, std::ostream& err) {
       "--sim-threads N (host threads for the engine's rank replay; overrides\n"
       "SCC_SIM_THREADS, 1 = serial, numbers identical either way); serve and\n"
       "cluster accept --no-run-cache (disable engine-run memoization),\n"
-      "--run-cache-capacity N / --run-cache-shards K (size the sharded run\n"
-      "cache), --run-cache-file FILE (persist memoized runs across processes\n"
-      "via a checksummed snapshot) and --run-cache-max-bytes B (compact the\n"
-      "snapshot to its newest generations under B bytes); serve and cluster\n"
-      "accept --autotune on|off (tuned dispatch), and autotune/serve/cluster\n"
-      "accept --tuning-cache-file FILE / --tuning-cache-capacity N (persist\n"
-      "and bound the pinned winners) and --fastpath on|off (feature-based\n"
-      "class fast path)\n";
+      "--run-cache-capacity N (bound the run cache) and --run-cache-file FILE\n"
+      "(persist memoized runs across processes via a checksummed snapshot);\n"
+      "serve and cluster accept --autotune on|off (tuned dispatch), and\n"
+      "autotune/serve/cluster accept --tuning-cache-file FILE /\n"
+      "--tuning-cache-capacity N (persist and bound the pinned winners) and\n"
+      "--fastpath on|off (feature-based class fast path)\n";
   try {
     if (args.positional().empty()) {
       err << kUsage;
