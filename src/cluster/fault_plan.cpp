@@ -92,13 +92,7 @@ FaultOracle::FaultOracle(FaultPlan plan) : plan_(std::move(plan)) {
 }
 
 double FaultOracle::uniform(std::uint64_t a, std::uint64_t b, std::uint64_t salt) const {
-  // Hash the site into an independent stream (the src/fault idiom): per-site
-  // determinism means the schedule does not depend on query order.
-  std::uint64_t state = plan_.seed;
-  state ^= (a + 1) * 0x9e3779b97f4a7c15ULL;
-  state ^= (b + 1) * 0xbf58476d1ce4e5b9ULL;
-  state ^= (salt + 1) * 0x94d049bb133111ebULL;
-  Rng rng(splitmix64(state));
+  Rng rng(site_draw(plan_.seed, a, b, salt));
   return rng.uniform01();
 }
 

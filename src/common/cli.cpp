@@ -38,6 +38,7 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
 std::optional<std::string> CliArgs::get(const std::string& key) const {
   const auto it = options_.find(key);
   if (it == options_.end()) return std::nullopt;
+  read_.insert(key);
   return it->second;
 }
 
@@ -112,10 +113,11 @@ bool CliArgs::get_bool_or(const std::string& key, bool fallback) const {
   return *value == "true" || *value == "1" || *value == "yes" || *value == "on";
 }
 
-std::vector<std::string> CliArgs::keys() const {
+std::vector<std::string> CliArgs::unread() const {
   std::vector<std::string> out;
-  out.reserve(options_.size());
-  for (const auto& [key, _] : options_) out.push_back(key);
+  for (const auto& [key, _] : options_) {
+    if (!read_.contains(key)) out.push_back(key);
+  }
   return out;
 }
 

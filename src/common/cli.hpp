@@ -2,7 +2,8 @@
 //
 // Supports `--key=value`, `--key value` and boolean `--flag` forms; anything
 // not starting with "--" is a positional argument. Unknown keys are kept so
-// binaries can reject them explicitly.
+// binaries can reject them explicitly: every lookup marks its key read, and
+// `unread` lists the keys no lookup asked for.
 //
 // Also home of the shared output-selection flags every scc-spmv subcommand
 // understands (`--json[=FILE]`, `--trace=FILE`), parsed once by
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -39,13 +41,15 @@ class CliArgs {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Keys that were parsed; lets binaries validate against a known set.
-  std::vector<std::string> keys() const;
+  /// Parsed keys no get()/get_*_or() call has looked up yet, in key order
+  /// (has() is not a lookup); lets binaries reject flags they never read.
+  std::vector<std::string> unread() const;
 
  private:
   std::string program_;
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 /// One item of a list or `:`-separated flag value (`--mix=26,27`,

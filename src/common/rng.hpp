@@ -26,6 +26,18 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
+/// One independent draw per site (seed, a, b, salt): the fault, SDC and
+/// cluster-fault schedules address each decision by its site, so a schedule
+/// does not depend on thread interleaving or query order.
+constexpr std::uint64_t site_draw(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
+                                  std::uint64_t salt) {
+  std::uint64_t state = seed;
+  state ^= (a + 1) * 0x9e3779b97f4a7c15ULL;
+  state ^= (b + 1) * 0xbf58476d1ce4e5b9ULL;
+  state ^= (salt + 1) * 0x94d049bb133111ebULL;
+  return splitmix64(state);
+}
+
 /// Parse a 64-bit seed from command-line text: decimal, or hex with an
 /// 0x/0X prefix (seeds are conventionally written in hex, e.g. 0x5cc).
 /// Throws on empty input, trailing garbage, or overflow past 2^64-1.

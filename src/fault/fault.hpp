@@ -214,7 +214,7 @@ class Injector {
   std::vector<Plan::MemCorrupt> on_memory(int rank) const;
 
  private:
-  /// Deterministic per-site Bernoulli draw: hash (seed, a, b, salt).
+  /// Deterministic per-site Bernoulli draw (scc::site_draw).
   bool draw(std::uint64_t a, std::uint64_t b, std::uint64_t salt, double rate) const;
 
   Plan plan_;

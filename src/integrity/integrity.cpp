@@ -231,25 +231,17 @@ SdcOracle::SdcOracle(SdcPlan plan) : plan_(plan) {
                                 << "] must satisfy 0 <= min <= max <= 62");
 }
 
-std::uint64_t SdcOracle::mix(std::uint64_t a, std::uint64_t b, std::uint64_t salt) const {
-  std::uint64_t state = plan_.seed;
-  state ^= (a + 1) * 0x9e3779b97f4a7c15ULL;
-  state ^= (b + 1) * 0xbf58476d1ce4e5b9ULL;
-  state ^= (salt + 1) * 0x94d049bb133111ebULL;
-  return splitmix64(state);
-}
-
 bool SdcOracle::corrupts(std::uint64_t site, std::uint64_t attempt) const {
   const double rate = attempt == 0 ? plan_.rate : plan_.sticky_rate;
   if (rate <= 0.0) return false;
-  Rng rng(mix(site, attempt, /*salt=*/60));
+  Rng rng(site_draw(plan_.seed, site, attempt, /*salt=*/60));
   return rng.bernoulli(rate);
 }
 
 Corruption SdcOracle::draw_corruption(std::uint64_t site, std::uint64_t attempt,
                                       const sparse::CsrMatrix& a) const {
   Corruption corruption;
-  Rng rng(mix(site, attempt, /*salt=*/61));
+  Rng rng(site_draw(plan_.seed, site, attempt, /*salt=*/61));
   corruption.region = static_cast<fault::MemRegion>(rng.next() % 5);
   corruption.bit = plan_.min_bit + static_cast<int>(rng.next() % static_cast<std::uint64_t>(
                                                         plan_.max_bit - plan_.min_bit + 1));

@@ -149,8 +149,6 @@ class SdcOracle {
                       std::uint64_t attempt) const;
 
  private:
-  std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t salt) const;
-
   SdcPlan plan_;
 };
 

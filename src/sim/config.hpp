@@ -5,7 +5,6 @@
 
 #include "cache/hierarchy.hpp"
 #include "scc/frequency.hpp"
-#include "scc/power.hpp"
 
 namespace scc::sim {
 
@@ -68,7 +67,6 @@ struct EngineConfig {
   cache::HierarchyConfig hierarchy{};
   KernelCostModel kernel{};
   MemoryModel memory{};
-  chip::PowerModelConfig power{};
   /// The paper times repeated products, so matrices whose per-core share
   /// fits in L2 run from warm caches. When true (default) each core's trace
   /// runs one warm-up iteration before the measured one; the warm-up is

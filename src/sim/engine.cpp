@@ -8,8 +8,8 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/trace.hpp"
-#include "sim/format_traces.hpp"
 #include "sim/run_cache.hpp"
+#include "sparse/layout.hpp"
 #include "sparse/properties.hpp"
 
 namespace scc::sim {
@@ -21,31 +21,16 @@ std::vector<int> resolve_cores(const RunSpec& spec) {
   return chip::map_ues_to_cores(spec.policy, spec.ue_count);
 }
 
-/// One pass of `format`'s kernel over `block`, with the counts its cycle
-/// cost is priced from.
-RankReplay trace_pass(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
-                      StorageFormat format, SpmvVariant variant, cache::Hierarchy& hierarchy,
-                      cache::Tlb* tlb) {
-  if (format == StorageFormat::kCsr) {
-    const TraceResult trace = run_spmv_trace(matrix, block, variant, hierarchy, tlb);
-    return {trace, static_cast<double>(trace.nnz), static_cast<double>(trace.rows)};
+/// One pass of `format`'s kernel over `block`.
+TraceResult trace_pass(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
+                       StorageFormat format, SpmvVariant variant, cache::Hierarchy& hierarchy,
+                       cache::Tlb* tlb) {
+  if (format == StorageFormat::kCsr) return run_spmv_trace(matrix, block, variant, hierarchy, tlb);
+  if (format == StorageFormat::kEll) return run_ell_trace(matrix, block, hierarchy, tlb).trace;
+  if (format == StorageFormat::kHyb) {
+    return run_hyb_trace(matrix, block, sparse::kHybSpillFraction, hierarchy, tlb).trace;
   }
-  const FormatTraceResult r =
-      format == StorageFormat::kEll   ? run_ell_trace(matrix, block, hierarchy, tlb)
-      : format == StorageFormat::kHyb ? run_hyb_trace(matrix, block, 0.33, hierarchy, tlb)
-                                      : run_bcsr_trace(matrix, block,
-                                                       format == StorageFormat::kBcsr2 ? 2 : 4,
-                                                       hierarchy, tlb);
-  return {r.trace, r.executed_elements, r.rows_iterated};
-}
-
-/// Kernel cycles per executed element of `format` (RankReplay::elements).
-double cycles_per_element(const KernelCostModel& k, StorageFormat format) {
-  if (format == StorageFormat::kCsr) return k.cycles_per_nnz;
-  if (format == StorageFormat::kBcsr2 || format == StorageFormat::kBcsr4) {
-    return k.cycles_per_bcsr_element;
-  }
-  return k.cycles_per_ell_slot;  // ELL, and HYB's ELL slab plus COO tail
+  return run_bcsr_trace(matrix, block, format_params(format).block_size, hierarchy, tlb).trace;
 }
 
 }  // namespace
@@ -219,21 +204,7 @@ RunResult Engine::run_degraded_impl(const sparse::CsrMatrix& matrix, const RunSp
   return result;
 }
 
-std::string to_string(StorageFormat format) {
-  switch (format) {
-    case StorageFormat::kCsr:
-      return "CSR";
-    case StorageFormat::kEll:
-      return "ELL";
-    case StorageFormat::kBcsr2:
-      return "BCSR b=2";
-    case StorageFormat::kBcsr4:
-      return "BCSR b=4";
-    case StorageFormat::kHyb:
-      return "HYB";
-  }
-  return "unknown";
-}
+std::string to_string(StorageFormat format) { return format_params(format).name; }
 
 std::string to_string(Reordering reorder) {
   switch (reorder) {
@@ -311,8 +282,9 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const RunSpec& sp
       trace_pass(replayed, blocks[rank], spec.format, spec.variant, hierarchy, tlb_ptr);
       hierarchy.reset_stats();
     }
-    replays[rank] = trace_pass(replayed, blocks[rank], spec.format, spec.variant, hierarchy,
-                               tlb_ptr);
+    replays[rank] = {trace_pass(replayed, blocks[rank], spec.format, spec.variant, hierarchy,
+                                tlb_ptr),
+                     rank_counts(replayed, blocks[rank], spec.format)};
   };
 
   std::optional<obs::ScopedSpan> replay_span;
@@ -369,7 +341,7 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const RunSpec& sp
   // The core-dependent half: clocks, hops and the kernel cost model.
   RunResult result;
   result.cores.resize(cores.size());
-  const double element_cycles = cycles_per_element(config_.kernel, spec.format);
+  const double element_cycles = config_.kernel.*format_params(spec.format).cycles_per_element;
   const int forced_hops = spec.forced_hops;
   for (std::size_t rank = 0; rank < cores.size(); ++rank) {
     const int core = cores[rank];
@@ -380,7 +352,8 @@ RunResult Engine::run_generic(const sparse::CsrMatrix& matrix, const RunSpec& sp
     cr.trace = replay.trace;
 
     const double compute_cycles =
-        element_cycles * replay.elements + config_.kernel.cycles_per_row * replay.rows;
+        element_cycles * replay.counts.executed_elements +
+        config_.kernel.cycles_per_row * replay.counts.rows_iterated;
     const double core_hz = config_.freq.core_ghz(core) * 1e9;
     cr.compute_seconds = compute_cycles / core_hz;
     cr.l2_hit_seconds = config_.kernel.l2_hit_cycles *

@@ -23,6 +23,7 @@
 #include "scc/latency.hpp"
 #include "scc/mapping.hpp"
 #include "sim/config.hpp"
+#include "sim/format_traces.hpp"
 #include "sim/spmv_trace.hpp"
 
 namespace scc::obs {
@@ -30,10 +31,6 @@ class Recorder;
 }
 
 namespace scc::sim {
-
-/// Storage formats the engine can replay (the format-study extension: the
-/// CSR baseline vs. the optimized layouts of the paper's references [9]/[11]).
-enum class StorageFormat { kCsr, kEll, kBcsr2, kBcsr4, kHyb };
 
 /// Row-schedule reorderings the engine can apply before partitioning.
 /// kRcmRows permutes only the row order (reverse Cuthill-McKee schedule;

@@ -1,32 +1,27 @@
 #include "sim/format_traces.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <array>
+#include <iterator>
 
 #include "common/error.hpp"
 #include "sim/trace_internal.hpp"
+#include "sparse/layout.hpp"
 
 namespace scc::sim {
 
 namespace {
 
-void check_block(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block) {
-  SCC_REQUIRE(block.row_begin >= 0 && block.row_end <= matrix.rows() &&
-                  block.row_begin <= block.row_end,
-              "row block out of range");
-}
-
-index_t max_row_length(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block) {
-  index_t width = 0;
-  for (index_t r = block.row_begin; r < block.row_end; ++r) {
-    width = std::max(width, matrix.row_length(r));
-  }
-  return width;
-}
+constexpr std::array<FormatParams, 5> kFormats{{
+    {"CSR", 0, &KernelCostModel::cycles_per_nnz},
+    {"ELL", 0, &KernelCostModel::cycles_per_ell_slot},
+    {"BCSR b=2", 2, &KernelCostModel::cycles_per_bcsr_element},
+    {"BCSR b=4", 4, &KernelCostModel::cycles_per_bcsr_element},
+    {"HYB", 0, &KernelCostModel::cycles_per_ell_slot},
+}};
 
 /// The ELL inner loops over a local column-major slab of the given width;
-/// shared by the pure-ELL trace and the ELL part of HYB. `row_limit(r)`
-/// gives how many real entries row r contributes to the slab.
+/// shared by the pure-ELL trace and the ELL part of HYB.
 void ell_slab_trace(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
                     index_t width, detail::Tracker& tracker) {
   const auto rows_local = static_cast<std::uint64_t>(block.row_count());
@@ -52,107 +47,91 @@ void ell_slab_trace(const sparse::CsrMatrix& matrix, const sparse::RowBlock& blo
 
 }  // namespace
 
+const FormatParams& format_params(StorageFormat format) {
+  return kFormats[static_cast<std::size_t>(format)];
+}
+
+KernelCounts rank_counts(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
+                         StorageFormat format) {
+  detail::check_block(matrix, block);
+  const auto rows = static_cast<double>(block.row_count());
+  switch (format) {
+    case StorageFormat::kCsr:
+      return {static_cast<double>(block.nnz), rows};
+    case StorageFormat::kEll:
+      return {static_cast<double>(sparse::ell_width(matrix, block.row_begin, block.row_end)) *
+                  rows,
+              rows};
+    case StorageFormat::kHyb: {
+      const sparse::HybSplit split = sparse::hyb_split(matrix, block.row_begin, block.row_end);
+      return {static_cast<double>(split.width) * rows + static_cast<double>(split.tail), rows};
+    }
+    case StorageFormat::kBcsr2:
+    case StorageFormat::kBcsr4: {
+      const index_t b = format_params(format).block_size;
+      nnz_t stored_blocks = 0;
+      sparse::for_each_block_row(matrix, block.row_begin, block.row_end, b,
+                                 [&](const sparse::BlockRow& block_row) {
+                                   stored_blocks += std::ssize(block_row.block_cols);
+                                 });
+      return {static_cast<double>(stored_blocks) * static_cast<double>(b * b),
+              static_cast<double>((block.row_count() + b - 1) / b)};
+    }
+  }
+  return {};
+}
+
 FormatTraceResult run_ell_trace(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
                                 cache::Hierarchy& hierarchy, cache::Tlb* tlb) {
-  check_block(matrix, block);
-  const index_t width = max_row_length(matrix, block);
+  detail::check_block(matrix, block);
   detail::Tracker tracker(hierarchy, tlb);
-  ell_slab_trace(matrix, block, width, tracker);
-  FormatTraceResult out;
-  out.trace = tracker.finish(block.row_count(), block.nnz);
-  out.executed_elements = static_cast<double>(width) * static_cast<double>(block.row_count());
-  out.rows_iterated = static_cast<double>(block.row_count());
-  return out;
+  ell_slab_trace(matrix, block, sparse::ell_width(matrix, block.row_begin, block.row_end),
+                 tracker);
+  return {tracker.finish(block.row_count(), block.nnz)};
 }
 
 FormatTraceResult run_bcsr_trace(const sparse::CsrMatrix& matrix,
                                  const sparse::RowBlock& block, index_t block_size,
                                  cache::Hierarchy& hierarchy, cache::Tlb* tlb) {
-  check_block(matrix, block);
+  detail::check_block(matrix, block);
   SCC_REQUIRE(block_size >= 1 && block_size <= 16, "block size out of [1,16]");
   const auto b = static_cast<std::uint64_t>(block_size);
   detail::Tracker tracker(hierarchy, tlb);
 
-  const index_t rows_local = block.row_count();
-  const index_t block_rows = (rows_local + block_size - 1) / block_size;
   const auto col_count = static_cast<std::uint64_t>(matrix.cols());
-  std::uint64_t stored_blocks = 0;
   std::uint64_t value_cursor = 0;
   std::uint64_t bcol_cursor = 0;
-  // The block columns of one block row, gathered once each: stamp[bc - lo]
-  // names the last block row that listed bc, so a column seen in an earlier
-  // row of the same block row is skipped; the short list is then sorted.
-  // Rows keep their columns ascending, so their ends bound the stamp.
-  index_t lo = matrix.cols();
-  index_t hi = -1;
-  for (index_t r = block.row_begin; r < block.row_end; ++r) {
-    const auto row = matrix.row_cols(r);
-    if (row.empty()) continue;
-    lo = std::min(lo, row.front() / block_size);
-    hi = std::max(hi, row.back() / block_size);
-  }
-  std::vector<index_t> stamp(static_cast<std::size_t>(std::max<index_t>(hi - lo + 1, 0)), -1);
-  std::vector<index_t> block_cols;
-  for (index_t br = 0; br < block_rows; ++br) {
-    // Block-row pointer (one 4-byte read, like the CSR ptr stream).
-    tracker.access(detail::kPtrBase + kPtrBytes * static_cast<std::uint64_t>(br + 1), false);
-    const index_t r_begin = block.row_begin + br * block_size;
-    const index_t r_end = std::min<index_t>(r_begin + block_size, block.row_end);
-    block_cols.clear();
-    for (index_t r = r_begin; r < r_end; ++r) {
-      for (index_t c : matrix.row_cols(r)) {
-        index_t& seen = stamp[static_cast<std::size_t>(c / block_size - lo)];
-        if (seen != br) {
-          seen = br;
-          block_cols.push_back(c / block_size);
+  sparse::for_each_block_row(
+      matrix, block.row_begin, block.row_end, block_size, [&](const sparse::BlockRow& row) {
+        // Block-row pointer (one 4-byte read, like the CSR ptr stream).
+        tracker.access(detail::kPtrBase + kPtrBytes * static_cast<std::uint64_t>(row.index + 1),
+                       false);
+        for (const index_t bc : row.block_cols) {
+          tracker.access(detail::kIndexBase + kIndexBytes * bcol_cursor++, false);
+          // Dense b x b payload streamed, with one x load per block column
+          // element (registers carry x across the unrolled row loop) and a
+          // read-modify-write of each y element.
+          tracker.read_run(detail::kValueBase + kValueBytes * value_cursor, b * b, kValueBytes);
+          value_cursor += b * b;
+          const auto x_first = static_cast<std::uint64_t>(bc) * b;
+          tracker.read_run(detail::kXBase + kValueBytes * x_first,
+                           std::min(b, col_count - x_first), kValueBytes);
+          for (index_t r = row.row_begin; r < row.row_end; ++r) {
+            const auto local_r = static_cast<std::uint64_t>(r - block.row_begin);
+            tracker.access(detail::kYBase + kValueBytes * local_r, false);
+            tracker.repeat(detail::kYBase + kValueBytes * local_r, true);
+          }
         }
-      }
-    }
-    std::sort(block_cols.begin(), block_cols.end());
-    for (const index_t bc : block_cols) {
-      ++stored_blocks;
-      tracker.access(detail::kIndexBase + kIndexBytes * bcol_cursor++, false);
-      // Dense b x b payload streamed, with one x load per block column
-      // element (registers carry x across the unrolled row loop) and a
-      // read-modify-write of each y element.
-      tracker.read_run(detail::kValueBase + kValueBytes * value_cursor, b * b, kValueBytes);
-      value_cursor += b * b;
-      const auto x_first = static_cast<std::uint64_t>(bc) * b;
-      tracker.read_run(detail::kXBase + kValueBytes * x_first, std::min(b, col_count - x_first),
-                       kValueBytes);
-      for (index_t r = r_begin; r < r_end; ++r) {
-        const auto local_r = static_cast<std::uint64_t>(r - block.row_begin);
-        tracker.access(detail::kYBase + kValueBytes * local_r, false);
-        tracker.repeat(detail::kYBase + kValueBytes * local_r, true);
-      }
-    }
-  }
-  FormatTraceResult out;
-  out.trace = tracker.finish(block.row_count(), block.nnz);
-  out.executed_elements = static_cast<double>(stored_blocks) * static_cast<double>(b * b);
-  out.rows_iterated = static_cast<double>(block_rows);
-  return out;
+      });
+  return {tracker.finish(block.row_count(), block.nnz)};
 }
 
 FormatTraceResult run_hyb_trace(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
                                 double spill_fraction, cache::Hierarchy& hierarchy,
                                 cache::Tlb* tlb) {
-  check_block(matrix, block);
-  SCC_REQUIRE(spill_fraction >= 0.0 && spill_fraction < 1.0, "spill_fraction out of [0,1)");
-
-  // Bell-Garland split over the local block: smallest width whose tail stays
-  // within the spill budget.
-  const index_t max_len = max_row_length(matrix, block);
-  auto spill_at = [&](index_t w) {
-    nnz_t spill = 0;
-    for (index_t r = block.row_begin; r < block.row_end; ++r) {
-      spill += std::max<nnz_t>(0, matrix.row_length(r) - w);
-    }
-    return spill;
-  };
-  const auto budget = static_cast<nnz_t>(spill_fraction * static_cast<double>(block.nnz));
-  index_t width = 0;
-  while (width < max_len && spill_at(width) > budget) ++width;
+  detail::check_block(matrix, block);
+  const index_t width =
+      sparse::hyb_split(matrix, block.row_begin, block.row_end, spill_fraction).width;
 
   detail::Tracker tracker(hierarchy, tlb);
   ell_slab_trace(matrix, block, width, tracker);
@@ -175,14 +154,7 @@ FormatTraceResult run_hyb_trace(const sparse::CsrMatrix& matrix, const sparse::R
       ++tail_cursor;
     }
   }
-
-  FormatTraceResult out;
-  out.trace = tracker.finish(block.row_count(), block.nnz);
-  out.executed_elements =
-      static_cast<double>(width) * static_cast<double>(block.row_count()) +
-      static_cast<double>(tail_cursor);
-  out.rows_iterated = static_cast<double>(block.row_count());
-  return out;
+  return {tracker.finish(block.row_count(), block.nnz)};
 }
 
 }  // namespace scc::sim

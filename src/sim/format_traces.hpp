@@ -1,10 +1,10 @@
-// Access-trace generators for alternative SpMV storage formats, enabling the
-// question the paper's conclusions point at: would the blocking/padding
-// optimizations of Williams et al. [11] and Bell & Garland [9] have paid off
-// on the SCC? Each function replays the reference stream of the respective
-// kernel over one UE's row block through the core's TLB + cache hierarchy,
-// deriving the pattern directly from the CSR matrix (the format's layout is
-// computed on the fly, not materialized).
+// The storage formats the simulator prices, for the question the paper's
+// conclusions point at: would the blocking/padding optimizations of
+// Williams et al. [11] and Bell & Garland [9] have paid off on the SCC?
+// Per format and UE row block, rank_counts gives the elements and row-loop
+// trips the kernel executes (its compute cost; no replay needed), and
+// run_*_trace replays its reference stream through the core's TLB + cache
+// hierarchy. Both take the layout from sparse/layout.hpp on the fly.
 //
 // Layouts assumed per UE (all in its private memory, like the CSR trace):
 //  * ELL: local slab of width = max row length in the block, column-major
@@ -16,17 +16,39 @@
 //    row/col/value streams and read-modify-write y updates.
 #pragma once
 
+#include "sim/config.hpp"
 #include "sim/spmv_trace.hpp"
 
 namespace scc::sim {
 
-/// Trace statistics common to every format, plus the format's element count
-/// (stored slots including padding/fill -- what the kernel actually
-/// executes over).
+/// Storage formats the engine can replay (the format-study extension: the
+/// CSR baseline vs. the optimized layouts of the paper's references [9]/[11]).
+enum class StorageFormat { kCsr, kEll, kBcsr2, kBcsr4, kHyb };
+
+/// A format's report name, BCSR block edge (0 when unblocked) and the
+/// KernelCostModel field pricing one executed element.
+struct FormatParams {
+  const char* name;
+  index_t block_size;
+  double KernelCostModel::*cycles_per_element;
+};
+
+const FormatParams& format_params(StorageFormat format);
+
+/// What `format`'s kernel executes over `block`: stored slots (nonzeros,
+/// ELL padding, HYB tail entries, whole BCSR blocks) and row (BCSR:
+/// block-row) loop trips.
+struct KernelCounts {
+  double executed_elements = 0.0;
+  double rows_iterated = 0.0;
+};
+
+KernelCounts rank_counts(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
+                         StorageFormat format);
+
+/// Cache behaviour of one pass of a format kernel (counts: rank_counts).
 struct FormatTraceResult {
   TraceResult trace;
-  double executed_elements = 0.0;  ///< slots/values the kernel iterates
-  double rows_iterated = 0.0;      ///< per-row (or per-block-row) loop trips
 };
 
 FormatTraceResult run_ell_trace(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,

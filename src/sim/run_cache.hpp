@@ -106,8 +106,7 @@ ReplayKey replay_key(const sparse::CsrMatrix& source, const EngineConfig& config
 /// ELL/BCSR/HYB. Never cycles or seconds, which depend on the core.
 struct RankReplay {
   TraceResult trace;
-  double elements = 0.0;
-  double rows = 0.0;
+  KernelCounts counts;
 };
 
 /// Construction-time knobs of a RunCache.

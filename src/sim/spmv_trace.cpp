@@ -1,6 +1,5 @@
 #include "sim/spmv_trace.hpp"
 
-#include "common/error.hpp"
 #include "sim/trace_internal.hpp"
 
 namespace scc::sim {
@@ -8,9 +7,7 @@ namespace scc::sim {
 TraceResult run_spmv_trace(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block,
                            SpmvVariant variant, cache::Hierarchy& hierarchy,
                            cache::Tlb* tlb) {
-  SCC_REQUIRE(block.row_begin >= 0 && block.row_end <= matrix.rows() &&
-                  block.row_begin <= block.row_end,
-              "row block out of range");
+  detail::check_block(matrix, block);
   const auto ptr = matrix.ptr();
   const auto col = matrix.col();
 

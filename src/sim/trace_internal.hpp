@@ -8,9 +8,16 @@
 
 #include "cache/hierarchy.hpp"
 #include "cache/tlb.hpp"
+#include "common/error.hpp"
 #include "sim/spmv_trace.hpp"
 
 namespace scc::sim::detail {
+
+inline void check_block(const sparse::CsrMatrix& matrix, const sparse::RowBlock& block) {
+  SCC_REQUIRE(block.row_begin >= 0 && block.row_end <= matrix.rows() &&
+                  block.row_begin <= block.row_end,
+              "row block out of range");
+}
 
 // Disjoint virtual base addresses for the arrays in a core's private domain.
 // Wide separation guarantees regions never overlap for realistic sizes; the

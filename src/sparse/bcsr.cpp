@@ -1,9 +1,9 @@
 #include "sparse/bcsr.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
+#include "sparse/layout.hpp"
 
 namespace scc::sparse {
 
@@ -18,25 +18,15 @@ BcsrMatrix BcsrMatrix::from_csr(const CsrMatrix& csr, index_t b, double max_fill
   out.nnz_ = csr.nnz();
   out.block_rows_ = (csr.rows() + b - 1) / b;
 
-  // Pass 1: the set of populated block columns per block row, in order.
-  // A sorted map per block row keeps conversion O(nnz log k).
+  // Pass 1: the populated block columns of each block row, in order.
   out.block_ptr_.assign(static_cast<std::size_t>(out.block_rows_) + 1, 0);
-  std::vector<std::map<index_t, nnz_t>> blocks_in_row(
-      static_cast<std::size_t>(out.block_rows_));
-  for (index_t r = 0; r < csr.rows(); ++r) {
-    auto& row_blocks = blocks_in_row[static_cast<std::size_t>(r / b)];
-    for (index_t c : csr.row_cols(r)) {
-      row_blocks.emplace(c / b, 0);
-    }
-  }
-  nnz_t total_blocks = 0;
-  for (index_t br = 0; br < out.block_rows_; ++br) {
-    auto& row_blocks = blocks_in_row[static_cast<std::size_t>(br)];
-    for (auto& [bc, slot] : row_blocks) {
-      slot = total_blocks++;
-    }
-    out.block_ptr_[static_cast<std::size_t>(br) + 1] = total_blocks;
-  }
+  for_each_block_row(csr, 0, csr.rows(), b, [&](const BlockRow& block_row) {
+    out.block_col_.insert(out.block_col_.end(), block_row.block_cols.begin(),
+                          block_row.block_cols.end());
+    out.block_ptr_[static_cast<std::size_t>(block_row.index) + 1] =
+        static_cast<nnz_t>(out.block_col_.size());
+  });
+  const nnz_t total_blocks = out.block_count();
 
   const double stored =
       static_cast<double>(total_blocks) * static_cast<double>(b) * static_cast<double>(b);
@@ -45,24 +35,22 @@ BcsrMatrix BcsrMatrix::from_csr(const CsrMatrix& csr, index_t b, double max_fill
                                  << " exceeds limit " << max_fill_ratio << " at block size "
                                  << b);
 
-  // Pass 2: scatter values into the dense blocks.
-  out.block_col_.resize(static_cast<std::size_t>(total_blocks));
+  // Pass 2: scatter values into the dense blocks; a block row's columns are
+  // ascending, so each entry's block is found by binary search.
   out.val_.assign(static_cast<std::size_t>(total_blocks) * static_cast<std::size_t>(b) *
                       static_cast<std::size_t>(b),
                   0.0);
-  for (index_t br = 0; br < out.block_rows_; ++br) {
-    for (const auto& [bc, slot] : blocks_in_row[static_cast<std::size_t>(br)]) {
-      out.block_col_[static_cast<std::size_t>(slot)] = bc;
-    }
-  }
   for (index_t r = 0; r < csr.rows(); ++r) {
-    const auto& row_blocks = blocks_in_row[static_cast<std::size_t>(r / b)];
+    const auto br = static_cast<std::size_t>(r / b);
+    const auto first = out.block_col_.begin() + out.block_ptr_[br];
+    const auto last = out.block_col_.begin() + out.block_ptr_[br + 1];
     const auto cols = csr.row_cols(r);
     const auto vals = csr.row_vals(r);
     for (std::size_t k = 0; k < cols.size(); ++k) {
-      const nnz_t slot = row_blocks.at(cols[k] / b);
-      const auto base = static_cast<std::size_t>(slot) * static_cast<std::size_t>(b) *
-                        static_cast<std::size_t>(b);
+      const auto slot =
+          static_cast<std::size_t>(std::lower_bound(first, last, cols[k] / b) -
+                                   out.block_col_.begin());
+      const auto base = slot * static_cast<std::size_t>(b) * static_cast<std::size_t>(b);
       const auto within = static_cast<std::size_t>((r % b) * b + cols[k] % b);
       out.val_[base + within] = vals[k];
     }

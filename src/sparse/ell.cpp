@@ -1,8 +1,7 @@
 #include "sparse/ell.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
+#include "sparse/layout.hpp"
 
 namespace scc::sparse {
 
@@ -12,10 +11,7 @@ EllMatrix EllMatrix::from_csr(const CsrMatrix& csr, double max_fill_ratio) {
   out.rows_ = csr.rows();
   out.cols_ = csr.cols();
   out.nnz_ = csr.nnz();
-  index_t width = 0;
-  for (index_t r = 0; r < csr.rows(); ++r) {
-    width = std::max(width, csr.row_length(r));
-  }
+  const index_t width = ell_width(csr, 0, csr.rows());
   out.width_ = width;
   const auto padded = static_cast<double>(out.rows_) * static_cast<double>(width);
   SCC_REQUIRE(csr.nnz() == 0 || padded <= max_fill_ratio * static_cast<double>(csr.nnz()),

@@ -1,42 +1,15 @@
 #include "sparse/hyb.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
+#include "sparse/layout.hpp"
 
 namespace scc::sparse {
 
 HybMatrix HybMatrix::from_csr(const CsrMatrix& csr, double spill_fraction) {
-  SCC_REQUIRE(spill_fraction >= 0.0 && spill_fraction < 1.0,
-              "spill_fraction must be in [0,1)");
   HybMatrix out;
   out.rows_ = csr.rows();
   out.cols_ = csr.cols();
-
-  // Histogram of row lengths -> smallest width covering enough nonzeros.
-  // spill(w) = sum over rows of max(0, len - w); computed via suffix sums of
-  // row counts and row-length totals.
-  index_t max_len = 0;
-  for (index_t r = 0; r < csr.rows(); ++r) max_len = std::max(max_len, csr.row_length(r));
-  std::vector<nnz_t> count_ge(static_cast<std::size_t>(max_len) + 2, 0);
-  std::vector<nnz_t> len_sum_ge(static_cast<std::size_t>(max_len) + 2, 0);
-  std::vector<nnz_t> count_of(static_cast<std::size_t>(max_len) + 1, 0);
-  for (index_t r = 0; r < csr.rows(); ++r) {
-    ++count_of[static_cast<std::size_t>(csr.row_length(r))];
-  }
-  for (index_t len = max_len; len >= 0; --len) {
-    const auto l = static_cast<std::size_t>(len);
-    count_ge[l] = count_ge[l + 1] + count_of[l];
-    len_sum_ge[l] = len_sum_ge[l + 1] + count_of[l] * static_cast<nnz_t>(len);
-    if (len == 0) break;
-  }
-  const auto spill_at = [&](index_t w) {
-    const auto i = static_cast<std::size_t>(std::min<index_t>(w + 1, max_len + 1));
-    return len_sum_ge[i] - count_ge[i] * static_cast<nnz_t>(w);
-  };
-  const auto budget = static_cast<nnz_t>(spill_fraction * static_cast<double>(csr.nnz()));
-  index_t width = 0;
-  while (width < max_len && spill_at(width) > budget) ++width;
+  const index_t width = hyb_split(csr, 0, csr.rows(), spill_fraction).width;
 
   // Split: the first `width` entries of each row go to ELL, the rest to COO.
   CooMatrix ell_part(csr.rows(), csr.cols());

@@ -3,12 +3,13 @@
 // The CUDA SpMV library the paper benchmarks its GPUs with stores the
 // "typical" part of each row in a fixed-width ELL slab (coalesced accesses)
 // and spills the long-row tail into COO. The split width is chosen so that
-// at most `spill_fraction` of the nonzeros land in the tail.
+// at most `spill_fraction` of the nonzeros land in the tail (sparse::hyb_split).
 #pragma once
 
 #include "sparse/coo.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ell.hpp"
+#include "sparse/layout.hpp"
 
 namespace scc::sparse {
 
@@ -17,9 +18,8 @@ class HybMatrix {
   HybMatrix() = default;
 
   /// Split `csr` at the smallest ELL width that keeps the COO tail to at
-  /// most `spill_fraction` of the nonzeros (Bell & Garland use ~1/3 as the
-  /// break-even point between the formats).
-  static HybMatrix from_csr(const CsrMatrix& csr, double spill_fraction = 0.33);
+  /// most `spill_fraction` of the nonzeros.
+  static HybMatrix from_csr(const CsrMatrix& csr, double spill_fraction = kHybSpillFraction);
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }

@@ -1,10 +1,10 @@
 #include "tune/autotuner.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "sparse/layout.hpp"
 
 namespace scc::tune {
 
@@ -12,26 +12,16 @@ namespace {
 
 /// Context half of the TuningKey: the timing-relevant engine configuration
 /// (reusing sim::run_key's canonical config hash via a fixed probe spec on a
-/// fixed 1x1 matrix, so the two layers cannot drift apart) plus the
-/// exploration grid and scoring knobs.
+/// fixed 1x1 matrix, so the two layers cannot drift apart) plus the fast-path
+/// switch. The grid is a constant: changing it bumps
+/// TuningCache::kSnapshotVersion.
 std::uint64_t compute_context_hash(const sim::EngineConfig& engine_config,
                                    const AutotuneConfig& config) {
   const sparse::CsrMatrix probe(1, 1, {0, 1}, {0}, {1.0});
   const sim::RunKey probe_key = sim::run_key(probe, engine_config, {0}, sim::RunSpec{});
   common::Fnv1a hash;
   hash.u64(probe_key.spec);
-  hash.u64(config.formats.size());
-  for (const sim::StorageFormat format : config.formats) {
-    hash.u64(static_cast<std::uint64_t>(format));
-  }
-  hash.boolean(config.try_reorder);
-  hash.array(std::span<const int>(config.core_counts));
-  hash.u64(config.mappings.size());
-  for (const chip::MappingPolicy policy : config.mappings) {
-    hash.u64(static_cast<std::uint64_t>(policy));
-  }
   hash.boolean(config.feature_fastpath);
-  hash.f64(config.core_time_weight);
   return hash.value();
 }
 
@@ -53,13 +43,6 @@ Autotuner::Autotuner(const sim::EngineConfig& engine_config, AutotuneConfig conf
                      std::shared_ptr<TuningCache> cache,
                      std::shared_ptr<sim::RunCache> run_cache)
     : config_(std::move(config)), engine_(engine_config), cache_(std::move(cache)) {
-  SCC_REQUIRE(!config_.formats.empty(), "autotuner needs at least one format");
-  SCC_REQUIRE(!config_.core_counts.empty(), "autotuner needs at least one core count");
-  SCC_REQUIRE(!config_.mappings.empty(), "autotuner needs at least one mapping");
-  for (const int cores : config_.core_counts) {
-    SCC_REQUIRE(cores >= 1 && cores <= 48, "core count " << cores << " out of range [1,48]");
-  }
-  SCC_REQUIRE(config_.core_time_weight >= 0.0, "core_time_weight must be non-negative");
   SCC_REQUIRE(cache_ != nullptr, "autotuner needs a TuningCache");
   if (run_cache != nullptr) engine_.attach_run_cache(std::move(run_cache));
   context_hash_ = compute_context_hash(engine_config, config_);
@@ -113,39 +96,34 @@ TuningDecision Autotuner::decide(const sparse::CsrMatrix& matrix, int matrix_id)
     decision.explored_runs = baseline == decision.choice ? 1 : 2;
     ++counters_.predicted;
   } else {
-    // Full exploration, in a fixed canonical order (format, reorder,
-    // mapping, core count) with strict-less scoring, so ties resolve to the
-    // earliest -- CSR-first, fewest-assumptions -- candidate.
+    // Full exploration, in a fixed canonical order (format, reorder, core
+    // count) with strict-less scoring, so ties resolve to the earliest --
+    // CSR-first, fewest-assumptions -- candidate.
     double best_score = 0.0;
     double best_csr_seconds = 0.0;
     bool have_best = false;
     bool have_csr = false;
     int runs = 0;
-    for (const sim::StorageFormat format : config_.formats) {
+    for (const sim::StorageFormat format : kGrid.formats) {
       for (const sim::Reordering reorder :
            {sim::Reordering::kNone, sim::Reordering::kRcmRows}) {
-        if (reorder == sim::Reordering::kRcmRows && (!config_.try_reorder || !square)) {
-          continue;
-        }
-        for (const chip::MappingPolicy policy : config_.mappings) {
-          for (const int cores : config_.core_counts) {
-            const Candidate candidate{format, reorder, cores, policy};
-            const double seconds = evaluate(matrix, candidate);
-            ++runs;
-            const double score =
-                seconds *
-                (1.0 + config_.core_time_weight * static_cast<double>(cores - 1) / 47.0);
-            if (!have_best || score < best_score) {
-              have_best = true;
-              best_score = score;
-              decision.choice = candidate;
-              decision.modeled_seconds = seconds;
-            }
-            if (format == sim::StorageFormat::kCsr && reorder == sim::Reordering::kNone &&
-                (!have_csr || seconds < best_csr_seconds)) {
-              have_csr = true;
-              best_csr_seconds = seconds;
-            }
+        if (reorder == sim::Reordering::kRcmRows && !square) continue;
+        for (const int cores : kGrid.core_counts) {
+          const Candidate candidate{format, reorder, cores, kGrid.mapping};
+          const double seconds = evaluate(matrix, candidate);
+          ++runs;
+          const double score =
+              seconds * (1.0 + kGrid.core_time_weight * static_cast<double>(cores - 1) / 47.0);
+          if (!have_best || score < best_score) {
+            have_best = true;
+            best_score = score;
+            decision.choice = candidate;
+            decision.modeled_seconds = seconds;
+          }
+          if (format == sim::StorageFormat::kCsr && reorder == sim::Reordering::kNone &&
+              (!have_csr || seconds < best_csr_seconds)) {
+            have_csr = true;
+            best_csr_seconds = seconds;
           }
         }
       }
@@ -199,39 +177,15 @@ std::vector<real_t> plan_product(const sparse::CsrMatrix& matrix, const Candidat
 
   // Per-row padded width of the storage plan. Padding slots hold value 0.0
   // at column 0 (the ELL convention), contributing +0.0 terms that keep the
-  // running sum bit-identical for finite x.
+  // running sum bit-identical for finite x. HYB pads rows shorter than its
+  // split width; its tail spills to COO.
   index_t ell_width = 0;
-  if (candidate.format == sim::StorageFormat::kEll ||
-      candidate.format == sim::StorageFormat::kHyb) {
-    for (index_t r = 0; r < matrix.rows(); ++r) {
-      ell_width = std::max(ell_width, matrix.row_length(r));
-    }
-    if (candidate.format == sim::StorageFormat::kHyb) {
-      // Bell-Garland split: smallest width whose COO tail is <= 33% of nnz.
-      std::vector<nnz_t> longer(static_cast<std::size_t>(ell_width) + 1, 0);
-      for (index_t r = 0; r < matrix.rows(); ++r) {
-        ++longer[static_cast<std::size_t>(matrix.row_length(r))];
-      }
-      // longer[w] after suffix-summing row lengths: nnz spilled at width w.
-      std::vector<nnz_t> spill(static_cast<std::size_t>(ell_width) + 1, 0);
-      for (index_t w = 0; w < ell_width; ++w) {
-        nnz_t tail = 0;
-        for (index_t len = w + 1; len <= ell_width; ++len) {
-          tail += longer[static_cast<std::size_t>(len)] * static_cast<nnz_t>(len - w);
-        }
-        spill[static_cast<std::size_t>(w)] = tail;
-      }
-      const auto budget =
-          static_cast<nnz_t>(0.33 * static_cast<double>(matrix.nnz()));
-      index_t w = 0;
-      while (w < ell_width && spill[static_cast<std::size_t>(w)] > budget) ++w;
-      ell_width = w;  // rows shorter than w are padded; the tail spills to COO
-    }
+  if (candidate.format == sim::StorageFormat::kEll) {
+    ell_width = sparse::ell_width(matrix, 0, matrix.rows());
+  } else if (candidate.format == sim::StorageFormat::kHyb) {
+    ell_width = sparse::hyb_split(matrix, 0, matrix.rows()).width;
   }
-  const index_t block =
-      candidate.format == sim::StorageFormat::kBcsr2
-          ? 2
-          : candidate.format == sim::StorageFormat::kBcsr4 ? 4 : 0;
+  const index_t block = sim::format_params(candidate.format).block_size;
 
   std::vector<real_t> y(static_cast<std::size_t>(matrix.rows()), 0.0);
   for (const index_t row : schedule) {

@@ -1,7 +1,7 @@
 // The online format/mapping autotuner.
 //
-// On first sight of a matrix fingerprint the tuner explores format x
-// reorder x core-count x mapping through sim::Engine::run -- sharing the
+// On first sight of a matrix fingerprint the tuner explores the fixed grid
+// (kGrid: format x reorder x core count) through sim::Engine::run -- sharing the
 // serving pool's RunCache, so exploration is priced once and replayed free
 // -- scores each candidate by modeled steady-state time (with a mild
 // space-efficiency bias: at saturation, a plan that frees cores lets more
@@ -18,6 +18,7 @@
 // persisted. bench/autotune_sweep asserts exactly that.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <span>
 #include <string>
@@ -29,21 +30,28 @@
 
 namespace scc::tune {
 
-/// Exploration grid + scoring knobs.
+/// The fixed exploration grid: every format, without and (square matrices
+/// only; the product stays bit-identical, see Reordering::kRcmRows) with the
+/// RCM row schedule, at each core count under one mapping. Score = seconds *
+/// (1 + core_time_weight * (cores-1)/47): the mild preference for smaller
+/// footprints that makes tuned plans co-run at saturation.
+struct Grid {
+  std::array<sim::StorageFormat, 5> formats;
+  std::array<int, 4> core_counts;
+  chip::MappingPolicy mapping;
+  double core_time_weight;
+};
+
+inline constexpr Grid kGrid{
+    .formats = {sim::StorageFormat::kCsr, sim::StorageFormat::kEll, sim::StorageFormat::kBcsr2,
+                sim::StorageFormat::kBcsr4, sim::StorageFormat::kHyb},
+    .core_counts = {4, 12, 24, 48},
+    .mapping = chip::MappingPolicy::kDistanceReduction,
+    .core_time_weight = 0.25};
+
 struct AutotuneConfig {
-  std::vector<sim::StorageFormat> formats = {
-      sim::StorageFormat::kCsr, sim::StorageFormat::kEll, sim::StorageFormat::kBcsr2,
-      sim::StorageFormat::kBcsr4, sim::StorageFormat::kHyb};
-  /// Add RCM row-schedule candidates (square matrices only; the product
-  /// stays bit-identical to CSR, see Reordering::kRcmRows).
-  bool try_reorder = true;
-  std::vector<int> core_counts = {4, 12, 24, 48};
-  std::vector<chip::MappingPolicy> mappings = {chip::MappingPolicy::kDistanceReduction};
   /// Classify familiar structure and evaluate only the class winner.
   bool feature_fastpath = true;
-  /// Score = seconds * (1 + weight * (cores-1)/47): the mild preference for
-  /// smaller footprints that makes tuned plans co-run at saturation.
-  double core_time_weight = 0.25;
   TuningCacheConfig cache;
 };
 
@@ -77,11 +85,7 @@ class Autotuner {
   /// only recorded in the decision log.
   TuningDecision decide(const sparse::CsrMatrix& matrix, int matrix_id = -1);
 
-  const AutotuneConfig& config() const { return config_; }
-  const std::shared_ptr<TuningCache>& cache() const { return cache_; }
   Counters counters() const { return counters_; }
-  /// Hash of the engine config + grid: the TuningKey context half.
-  std::uint64_t context_hash() const { return context_hash_; }
 
   /// Ordered log of non-cache-hit decisions since construction.
   const std::vector<DecisionRecord>& log() const { return log_; }

@@ -1,10 +1,10 @@
 // The tuning cache: content-keyed winners of the autotuner's exploration.
 //
-// One exploration prices a matrix's whole (format x reorder x core-count x
-// mapping) grid through the engine; the winner is pinned here under the
-// matrix's structural fingerprint plus a context hash (engine config + grid),
-// so millions of requests -- and every serving layer sharing the pool --
-// amortize that single exploration. The cache is bounded (least recently
+// One exploration prices a matrix's whole (format x reorder x core-count)
+// grid through the engine; the winner is pinned here under the matrix's
+// structural fingerprint plus a context hash (engine config + fast-path
+// switch), so millions of requests -- and every serving layer sharing the
+// pool -- amortize that single exploration. The cache is bounded (least recently
 // used evicted first, deterministic), thread-safe (serve and cluster
 // simulators consult it from concurrent sweeps), and snapshot-persistable (a
 // common::framed_file) so warm tuning decisions survive across processes. It
@@ -33,7 +33,7 @@ struct Candidate {
 };
 
 /// Content key of a tuning decision: the matrix's structural fingerprint and
-/// the tuning context (engine config + exploration grid), so one cache can
+/// the tuning context (engine config + fast-path switch), so one cache can
 /// serve differently-configured tuners without collisions.
 struct TuningKey {
   std::uint64_t matrix = 0;
@@ -62,8 +62,9 @@ class TuningCache {
  public:
   /// Snapshot format version; bumped on any layout change so stale files
   /// are rejected, never misread. v2: the common::framed_file framing, with
-  /// both tables written in eviction order, next victim first.
-  static constexpr std::uint32_t kSnapshotVersion = 2;
+  /// both tables written in eviction order, next victim first. v3: the
+  /// context hash no longer covers the (now fixed) exploration grid.
+  static constexpr std::uint32_t kSnapshotVersion = 3;
 
   explicit TuningCache(const TuningCacheConfig& config = {});
   ~TuningCache();

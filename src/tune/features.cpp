@@ -2,39 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "sim/format_traces.hpp"
 #include "sparse/properties.hpp"
 
 namespace scc::tune {
 
 namespace {
 
-/// Distinct b-by-b blocks touched by the pattern (the BCSR storage cost).
-std::uint64_t touched_blocks(const sparse::CsrMatrix& matrix, index_t b) {
-  std::uint64_t blocks = 0;
-  std::vector<index_t> cols;
-  const index_t block_rows = (matrix.rows() + b - 1) / b;
-  for (index_t br = 0; br < block_rows; ++br) {
-    cols.clear();
-    const index_t row_end = std::min<index_t>(matrix.rows(), (br + 1) * b);
-    for (index_t r = br * b; r < row_end; ++r) {
-      for (index_t c : matrix.row_cols(r)) cols.push_back(c / b);
-    }
-    std::sort(cols.begin(), cols.end());
-    blocks += static_cast<std::uint64_t>(
-        std::unique(cols.begin(), cols.end()) - cols.begin());
-  }
-  return blocks;
-}
-
-double block_fill(const sparse::CsrMatrix& matrix, index_t b) {
-  const std::uint64_t blocks = touched_blocks(matrix, b);
-  if (blocks == 0) return 0.0;
-  return static_cast<double>(matrix.nnz()) /
-         (static_cast<double>(blocks) * static_cast<double>(b) * static_cast<double>(b));
+/// Nonzeros per value a BCSR plan of `format` stores (its fill's inverse).
+double block_fill(const sparse::CsrMatrix& matrix, sim::StorageFormat format) {
+  const sparse::RowBlock whole{0, matrix.rows(), matrix.nnz()};
+  const double stored = sim::rank_counts(matrix, whole, format).executed_elements;
+  return stored == 0.0 ? 0.0 : static_cast<double>(matrix.nnz()) / stored;
 }
 
 /// Coarse bucket of log2(x); one bucket per factor of two.
@@ -67,8 +49,8 @@ FeatureVector extract_features(const sparse::CsrMatrix& matrix) {
   f.density = static_cast<double>(matrix.nnz()) /
               (static_cast<double>(matrix.rows()) * static_cast<double>(matrix.cols()));
   f.x_line_reuse = sparse::x_line_reuse_fraction(matrix);
-  f.block_fill_2 = block_fill(matrix, 2);
-  f.block_fill_4 = block_fill(matrix, 4);
+  f.block_fill_2 = block_fill(matrix, sim::StorageFormat::kBcsr2);
+  f.block_fill_4 = block_fill(matrix, sim::StorageFormat::kBcsr4);
   f.working_set_mb = static_cast<double>(sparse::working_set_bytes(matrix)) / (1024.0 * 1024.0);
   return f;
 }

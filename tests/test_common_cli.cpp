@@ -68,9 +68,13 @@ TEST(Cli, BoolSpellings) {
 }
 
 TEST(Cli, KeysEnumerated) {
-  const auto args = make({"prog", "--a=1", "--b=2"});
-  const auto keys = args.keys();
-  EXPECT_EQ(keys.size(), 2u);
+  const auto args = make({"prog", "--a=1", "--b=2", "--c"});
+  EXPECT_EQ(args.unread(), (std::vector<std::string>{"a", "b", "c"}));
+  // A lookup marks its key read; presence checks and absent keys do not.
+  EXPECT_TRUE(args.has("a"));
+  EXPECT_EQ(args.get_int_or("b", 0), 2);
+  EXPECT_FALSE(args.get("d"));
+  EXPECT_EQ(args.unread(), (std::vector<std::string>{"a", "c"}));
 }
 
 TEST(Cli, LastOccurrenceWins) {

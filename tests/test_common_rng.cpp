@@ -158,6 +158,16 @@ TEST(ParseSeed, RejectsGarbage) {
 }
 
 /// Chi-square-ish sanity on byte distribution, parameterized by seed.
+// The fault, SDC and cluster-fault schedules draw from site_draw; these
+// pinned values keep every recorded schedule byte-identical.
+TEST(SiteDraw, PinnedValues) {
+  EXPECT_EQ(site_draw(0, 0, 0, 0), 0x82b63280d7717e41ULL);
+  EXPECT_EQ(site_draw(0x5cc, 3, 7, 60), 0x33fde657c0140907ULL);
+  EXPECT_EQ(site_draw(0xdeadbeef, 1ULL << 40, 12345, 61), 0x87d9c5f80b860116ULL);
+  EXPECT_EQ(site_draw(~0ULL, ~0ULL - 1, 2, 9), 0x4b10da7d221c4f41ULL);
+  static_assert(site_draw(0, 0, 0, 0) == 0x82b63280d7717e41ULL);
+}
+
 class RngDistribution : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RngDistribution, LowBytesRoughlyUniform) {

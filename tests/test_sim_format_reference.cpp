@@ -1,16 +1,21 @@
-// Differential test of the format traces against a naive reference.
+// Differential test of the format traces and of rank_counts against a naive
+// reference.
 //
 // run_ell_trace, run_hyb_trace and run_bcsr_trace take two shortcuts. A
 // reference to the line of the reference just before it goes through
 // Tracker::repeat, which charges an L1 and TLB hit without walking either;
-// and BCSR gathers each block row's block columns through a stamp array.
-// The generators below take neither: they make one Tracker::access call per
-// reference, in the kernel's order, through a fresh Hierarchy/Tlb, and
-// gather block columns in a std::set. Seeded matrices of several families,
-// whole and partitioned, cold and after a warm pass, on geometries whose
-// line is smaller than, equal to and larger than the TLB page: every
-// FormatTraceResult field, the TLB counters and the dirty lines a flush
-// writes back must agree.
+// and BCSR gathers each block row's block columns through a stamp array
+// (sparse::for_each_block_row). The generators below take neither: they
+// make one Tracker::access call per reference, in the kernel's order,
+// through a fresh Hierarchy/Tlb, find the ELL width by a loop, the HYB split
+// by a linear scan over widths and gather block columns in a std::set, and
+// count the slots and row-loop trips they iterate. Seeded matrices of
+// several families, whole and partitioned, cold and after a warm pass, on
+// geometries whose line is smaller than, equal to and larger than the TLB
+// page: every TraceResult field, the TLB counters and the dirty lines a
+// flush writes back must agree, and so must rank_counts and the counts the
+// generators iterated. The testbed suite checks rank_counts and the shared
+// layout rules once more on every block the engine's partitions make.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +32,9 @@
 #include "gen/generators.hpp"
 #include "sim/format_traces.hpp"
 #include "sim/trace_internal.hpp"
+#include "sparse/layout.hpp"
 #include "sparse/partition.hpp"
+#include "testbed/suite.hpp"
 
 namespace scc::sim {
 namespace {
@@ -42,6 +49,39 @@ index_t widest_row(const CsrMatrix& m, const RowBlock& block) {
   }
   return width;
 }
+
+/// The Bell-Garland split: the first width, scanning up from 0, whose tail
+/// fits the spill budget.
+index_t reference_hyb_width(const CsrMatrix& m, const RowBlock& block, double spill_fraction) {
+  const auto budget = static_cast<nnz_t>(spill_fraction * static_cast<double>(block.nnz));
+  index_t width = 0;
+  for (;; ++width) {
+    nnz_t spill = 0;
+    for (index_t r = block.row_begin; r < block.row_end; ++r) {
+      spill += std::max<nnz_t>(0, m.row_length(r) - width);
+    }
+    if (spill <= budget || width >= widest_row(m, block)) break;
+  }
+  return width;
+}
+
+/// The block columns rows [r_begin, r_end) touch.
+std::set<index_t> reference_block_cols(const CsrMatrix& m, index_t r_begin, index_t r_end,
+                                       index_t b) {
+  std::set<index_t> block_cols;
+  for (index_t r = r_begin; r < r_end; ++r) {
+    for (const index_t c : m.row_cols(r)) block_cols.insert(c / b);
+  }
+  return block_cols;
+}
+
+/// A reference generator's trace and the slots and row-loop trips it
+/// iterated.
+struct Reference {
+  TraceResult trace;
+  double executed_elements = 0.0;
+  double rows_iterated = 0.0;
+};
 
 void reference_ell_slab(const CsrMatrix& m, const RowBlock& block, index_t width,
                         detail::Tracker& t) {
@@ -64,30 +104,21 @@ void reference_ell_slab(const CsrMatrix& m, const RowBlock& block, index_t width
   }
 }
 
-FormatTraceResult reference_ell(const CsrMatrix& m, const RowBlock& block,
-                                cache::Hierarchy& h, cache::Tlb* tlb) {
+Reference reference_ell(const CsrMatrix& m, const RowBlock& block, cache::Hierarchy& h,
+                        cache::Tlb* tlb) {
   detail::Tracker t(h, tlb);
   const index_t width = widest_row(m, block);
   reference_ell_slab(m, block, width, t);
-  FormatTraceResult out;
+  Reference out;
   out.trace = t.finish(block.row_count(), block.nnz);
   out.executed_elements = static_cast<double>(width) * static_cast<double>(block.row_count());
   out.rows_iterated = static_cast<double>(block.row_count());
   return out;
 }
 
-FormatTraceResult reference_hyb(const CsrMatrix& m, const RowBlock& block,
-                                double spill_fraction, cache::Hierarchy& h, cache::Tlb* tlb,
-                                std::uint64_t& tail_entries) {
-  const auto budget = static_cast<nnz_t>(spill_fraction * static_cast<double>(block.nnz));
-  index_t width = 0;
-  for (;; ++width) {
-    nnz_t spill = 0;
-    for (index_t r = block.row_begin; r < block.row_end; ++r) {
-      spill += std::max<nnz_t>(0, m.row_length(r) - width);
-    }
-    if (spill <= budget || width >= widest_row(m, block)) break;
-  }
+Reference reference_hyb(const CsrMatrix& m, const RowBlock& block, double spill_fraction,
+                        cache::Hierarchy& h, cache::Tlb* tlb, std::uint64_t& tail_entries) {
+  const index_t width = reference_hyb_width(m, block, spill_fraction);
   detail::Tracker t(h, tlb);
   reference_ell_slab(m, block, width, t);
   std::uint64_t tail = 0;
@@ -105,7 +136,7 @@ FormatTraceResult reference_hyb(const CsrMatrix& m, const RowBlock& block,
     }
   }
   tail_entries += tail;
-  FormatTraceResult out;
+  Reference out;
   out.trace = t.finish(block.row_count(), block.nnz);
   out.executed_elements = static_cast<double>(width) * static_cast<double>(block.row_count()) +
                           static_cast<double>(tail);
@@ -113,8 +144,8 @@ FormatTraceResult reference_hyb(const CsrMatrix& m, const RowBlock& block,
   return out;
 }
 
-FormatTraceResult reference_bcsr(const CsrMatrix& m, const RowBlock& block, index_t b,
-                                 cache::Hierarchy& h, cache::Tlb* tlb) {
+Reference reference_bcsr(const CsrMatrix& m, const RowBlock& block, index_t b,
+                         cache::Hierarchy& h, cache::Tlb* tlb) {
   detail::Tracker t(h, tlb);
   const index_t block_rows = (block.row_count() + b - 1) / b;
   const auto bb = static_cast<std::uint64_t>(b);
@@ -124,11 +155,7 @@ FormatTraceResult reference_bcsr(const CsrMatrix& m, const RowBlock& block, inde
     t.access(detail::kPtrBase + kPtrBytes * static_cast<std::uint64_t>(br + 1), false);
     const index_t r_begin = block.row_begin + br * b;
     const index_t r_end = std::min<index_t>(r_begin + b, block.row_end);
-    std::set<index_t> block_cols;
-    for (index_t r = r_begin; r < r_end; ++r) {
-      for (const index_t c : m.row_cols(r)) block_cols.insert(c / b);
-    }
-    for (const index_t bc : block_cols) {
+    for (const index_t bc : reference_block_cols(m, r_begin, r_end, b)) {
       t.access(detail::kIndexBase + kIndexBytes * stored++, false);
       for (std::uint64_t e = 0; e < bb * bb; ++e) {
         t.access(detail::kValueBase + kValueBytes * value++, false);
@@ -146,7 +173,7 @@ FormatTraceResult reference_bcsr(const CsrMatrix& m, const RowBlock& block, inde
       }
     }
   }
-  FormatTraceResult out;
+  Reference out;
   out.trace = t.finish(block.row_count(), block.nnz);
   out.executed_elements = static_cast<double>(stored) * static_cast<double>(bb * bb);
   out.rows_iterated = static_cast<double>(block_rows);
@@ -163,7 +190,9 @@ void expect_stats_eq(const cache::CacheStats& a, const cache::CacheStats& b,
   EXPECT_EQ(a.dirty_writebacks, b.dirty_writebacks) << what;
 }
 
-void expect_results_eq(const FormatTraceResult& got, const FormatTraceResult& want,
+/// The trace fields always; the counts when `counted` (the kernel is one of
+/// the engine's formats, so rank_counts knows it).
+void expect_results_eq(const Reference& got, const Reference& want, bool counted,
                        const std::string& what) {
   expect_stats_eq(got.trace.l1, want.trace.l1, what + " l1");
   expect_stats_eq(got.trace.l2, want.trace.l2, what + " l2");
@@ -174,8 +203,57 @@ void expect_results_eq(const FormatTraceResult& got, const FormatTraceResult& wa
   EXPECT_EQ(got.trace.tlb_misses, want.trace.tlb_misses) << what;
   EXPECT_EQ(got.trace.rows, want.trace.rows) << what;
   EXPECT_EQ(got.trace.nnz, want.trace.nnz) << what;
-  EXPECT_EQ(got.executed_elements, want.executed_elements) << what;
-  EXPECT_EQ(got.rows_iterated, want.rows_iterated) << what;
+  if (counted) {
+    EXPECT_EQ(got.executed_elements, want.executed_elements) << what;
+    EXPECT_EQ(got.rows_iterated, want.rows_iterated) << what;
+  }
+}
+
+/// The code under test in the reference's shape: a format trace's result
+/// and, for one of the engine's formats, rank_counts.
+Reference under_test(const FormatTraceResult& result, const CsrMatrix& m, const RowBlock& block,
+                     std::optional<StorageFormat> format) {
+  Reference out{result.trace};
+  if (format) {
+    const KernelCounts counts = rank_counts(m, block, *format);
+    out.executed_elements = counts.executed_elements;
+    out.rows_iterated = counts.rows_iterated;
+  }
+  return out;
+}
+
+/// The shared layout rules against the naive ones on `block`: the ELL
+/// width, the HYB split (with the tail the reference's rows spill) and,
+/// for b = 2, 3 and 4, every block row's rows and block-column set.
+void expect_layout_matches_reference(const CsrMatrix& m, const RowBlock& block,
+                                     const std::string& what) {
+  EXPECT_EQ(sparse::ell_width(m, block.row_begin, block.row_end), widest_row(m, block)) << what;
+  const sparse::HybSplit split = sparse::hyb_split(m, block.row_begin, block.row_end);
+  const index_t width = reference_hyb_width(m, block, 0.33);
+  nnz_t tail = 0;
+  for (index_t r = block.row_begin; r < block.row_end; ++r) {
+    tail += std::max<nnz_t>(0, m.row_length(r) - width);
+  }
+  EXPECT_EQ(split.width, width) << what;
+  EXPECT_EQ(split.tail, tail) << what;
+  for (const index_t b : {2, 3, 4}) {
+    index_t next_row = block.row_begin;
+    index_t visits = 0;
+    sparse::for_each_block_row(m, block.row_begin, block.row_end, b,
+                               [&](const sparse::BlockRow& row) {
+                                 EXPECT_EQ(row.index, visits++) << what;
+                                 EXPECT_EQ(row.row_begin, next_row) << what;
+                                 next_row = std::min<index_t>(next_row + b, block.row_end);
+                                 EXPECT_EQ(row.row_end, next_row) << what;
+                                 const std::set<index_t> want =
+                                     reference_block_cols(m, row.row_begin, row.row_end, b);
+                                 EXPECT_TRUE(std::equal(row.block_cols.begin(),
+                                                        row.block_cols.end(), want.begin(),
+                                                        want.end()))
+                                     << what << " b=" << b << " block row " << row.index;
+                               });
+    EXPECT_EQ(visits, (block.row_count() + b - 1) / b) << what << " b=" << b;
+  }
 }
 
 struct Geometry {
@@ -201,14 +279,13 @@ std::vector<Geometry> geometries() {
   };
 }
 
-using Trace =
-    std::function<FormatTraceResult(const RowBlock&, cache::Hierarchy&, cache::Tlb*)>;
+using Trace = std::function<Reference(const RowBlock&, cache::Hierarchy&, cache::Tlb*)>;
 
 /// One pass (or a warm pass plus a measured one, the engine's steady-state
 /// protocol) of `trace` on a fresh hierarchy; then a flush, whose written
 /// back bytes expose every dirty bit the passes left.
 struct Replayed {
-  FormatTraceResult result;
+  Reference result;
   std::uint64_t tlb_hits = 0;
   std::uint64_t tlb_misses = 0;
   bytes_t flushed = 0;
@@ -250,33 +327,43 @@ TEST_P(FormatTraceReference, EveryFieldMatchesOneAccessPerReference) {
     }
     struct Format {
       std::string name;
+      std::optional<StorageFormat> format;  // the engine's format, when it is one
       Trace fast;
       Trace reference;
     };
     std::vector<Format> formats = {
-        {"ELL",
+        {"ELL", StorageFormat::kEll,
          [&](const RowBlock& b, cache::Hierarchy& h, cache::Tlb* t) {
-           return run_ell_trace(m, b, h, t);
+           return under_test(run_ell_trace(m, b, h, t), m, b, StorageFormat::kEll);
          },
          [&](const RowBlock& b, cache::Hierarchy& h, cache::Tlb* t) {
            return reference_ell(m, b, h, t);
          }},
-        {"HYB",
+        {"HYB", StorageFormat::kHyb,
          [&](const RowBlock& b, cache::Hierarchy& h, cache::Tlb* t) {
-           return run_hyb_trace(m, b, 0.33, h, t);
+           return under_test(run_hyb_trace(m, b, 0.33, h, t), m, b, StorageFormat::kHyb);
          },
          [&](const RowBlock& b, cache::Hierarchy& h, cache::Tlb* t) {
            return reference_hyb(m, b, 0.33, h, t, tail_entries);
          }}};
     for (const index_t b : {2, 3, 4}) {
+      const std::optional<StorageFormat> format =
+          b == 2   ? std::optional(StorageFormat::kBcsr2)
+          : b == 4 ? std::optional(StorageFormat::kBcsr4)
+                   : std::nullopt;
       formats.push_back(
-          {"BCSR b=" + std::to_string(b),
-           [&m, b](const RowBlock& blk, cache::Hierarchy& h, cache::Tlb* t) {
-             return run_bcsr_trace(m, blk, b, h, t);
+          {"BCSR b=" + std::to_string(b), format,
+           [&m, b, format](const RowBlock& blk, cache::Hierarchy& h, cache::Tlb* t) {
+             return under_test(run_bcsr_trace(m, blk, b, h, t), m, blk, format);
            },
            [&m, b](const RowBlock& blk, cache::Hierarchy& h, cache::Tlb* t) {
              return reference_bcsr(m, blk, b, h, t);
            }});
+    }
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      expect_layout_matches_reference(m, blocks[i],
+                                      GetParam().name + " seed " + std::to_string(seed) +
+                                          " block " + std::to_string(i));
     }
     for (const Geometry& g : geometries()) {
       for (const Format& format : formats) {
@@ -287,7 +374,7 @@ TEST_P(FormatTraceReference, EveryFieldMatchesOneAccessPerReference) {
                                      std::to_string(i) + (warm ? " warm" : " cold");
             const Replayed got = replay(format.fast, blocks[i], g, warm);
             const Replayed want = replay(format.reference, blocks[i], g, warm);
-            expect_results_eq(got.result, want.result, what);
+            expect_results_eq(got.result, want.result, format.format.has_value(), what);
             EXPECT_EQ(got.tlb_hits, want.tlb_hits) << what;
             EXPECT_EQ(got.tlb_misses, want.tlb_misses) << what;
             EXPECT_EQ(got.flushed, want.flushed) << what;
@@ -300,6 +387,59 @@ TEST_P(FormatTraceReference, EveryFieldMatchesOneAccessPerReference) {
   // take the repeat path) in the skewed families.
   if (GetParam().name == "power_law" || GetParam().name == "circuit") {
     EXPECT_GT(tail_entries, 0U);
+  }
+}
+
+/// What the reference generator of `format` iterates over `block` (CSR:
+/// the nonzeros and rows the kernel's loops visit), replayed on the SCC
+/// geometry without a TLB.
+Reference reference_counts(const CsrMatrix& m, const RowBlock& block, StorageFormat format) {
+  cache::Hierarchy h(cache::HierarchyConfig{});
+  std::uint64_t tail_entries = 0;
+  switch (format) {
+    case StorageFormat::kCsr:
+      break;
+    case StorageFormat::kEll:
+      return reference_ell(m, block, h, nullptr);
+    case StorageFormat::kHyb:
+      return reference_hyb(m, block, 0.33, h, nullptr, tail_entries);
+    case StorageFormat::kBcsr2:
+      return reference_bcsr(m, block, 2, h, nullptr);
+    case StorageFormat::kBcsr4:
+      return reference_bcsr(m, block, 4, h, nullptr);
+  }
+  Reference out;
+  for (index_t r = block.row_begin; r < block.row_end; ++r) {
+    out.executed_elements += static_cast<double>(m.row_length(r));
+    out.rows_iterated += 1.0;
+  }
+  return out;
+}
+
+// Every block the engine replays at the core counts the figures and the
+// tuner use, on the whole testbed: the shared layout rules and rank_counts
+// against the naive references.
+TEST(RankCountsReference, TestbedPartitionsMatchTheReferenceGenerators) {
+  for (int id = 1; id <= 32; ++id) {
+    const CsrMatrix m = testbed::build_entry(id, 0.05).matrix;
+    for (const int parts : {1, 4, 12, 24, 48}) {
+      const std::vector<RowBlock> blocks = sparse::partition_rows_balanced_nnz(m, parts);
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        const std::string what = "matrix " + std::to_string(id) + " " + std::to_string(parts) +
+                                 " ranks block " + std::to_string(i);
+        expect_layout_matches_reference(m, blocks[i], what);
+        for (const StorageFormat format :
+             {StorageFormat::kCsr, StorageFormat::kEll, StorageFormat::kBcsr2,
+              StorageFormat::kBcsr4, StorageFormat::kHyb}) {
+          const KernelCounts got = rank_counts(m, blocks[i], format);
+          const Reference want = reference_counts(m, blocks[i], format);
+          EXPECT_EQ(got.executed_elements, want.executed_elements)
+              << what << " " << format_params(format).name;
+          EXPECT_EQ(got.rows_iterated, want.rows_iterated)
+              << what << " " << format_params(format).name;
+        }
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "gen/generators.hpp"
 #include "sim/engine.hpp"
+#include "sparse/layout.hpp"
 
 namespace scc::sim {
 namespace {
@@ -17,8 +18,8 @@ sparse::RowBlock whole(const sparse::CsrMatrix& m) {
 TEST(EllTrace, ExecutedElementsAreWidthTimesRows) {
   const auto m = gen::random_uniform(500, 7, 1);  // uniform 8-entry rows
   auto h = fresh_hierarchy();
-  const auto r = run_ell_trace(m, whole(m), h, nullptr);
-  EXPECT_DOUBLE_EQ(r.executed_elements, 8.0 * 500.0);
+  run_ell_trace(m, whole(m), h, nullptr);
+  EXPECT_DOUBLE_EQ(rank_counts(m, whole(m), StorageFormat::kEll).executed_elements, 8.0 * 500.0);
   // 5 accesses per slot (idx, val, x, y read, y write).
   EXPECT_EQ(h.l1().stats().accesses(), 5u * 8u * 500u);
 }
@@ -28,10 +29,8 @@ TEST(EllTrace, PaddingExecutesOnSkewedRows) {
   for (index_t i = 0; i < 100; ++i) coo.add(i, i, 1.0);
   for (index_t j = 1; j < 50; ++j) coo.add(0, j, 1.0);
   const auto m = sparse::CsrMatrix::from_coo(std::move(coo));
-  auto h = fresh_hierarchy();
-  const auto r = run_ell_trace(m, whole(m), h, nullptr);
   // Width = 50, so 100*50 slots executed for 149 nonzeros.
-  EXPECT_DOUBLE_EQ(r.executed_elements, 5000.0);
+  EXPECT_DOUBLE_EQ(rank_counts(m, whole(m), StorageFormat::kEll).executed_elements, 5000.0);
 }
 
 TEST(EllTrace, BlockLocalWidth) {
@@ -41,24 +40,21 @@ TEST(EllTrace, BlockLocalWidth) {
   for (index_t i = 0; i < 100; ++i) coo.add(i, i, 1.0);
   for (index_t j = 1; j < 50; ++j) coo.add(0, j, 1.0);
   const auto m = sparse::CsrMatrix::from_coo(std::move(coo));
-  auto h = fresh_hierarchy();
   const sparse::RowBlock tail{50, 100, 50};
-  const auto r = run_ell_trace(m, tail, h, nullptr);
-  EXPECT_DOUBLE_EQ(r.executed_elements, 50.0);  // width 1
+  EXPECT_DOUBLE_EQ(rank_counts(m, tail, StorageFormat::kEll).executed_elements,
+                   50.0);  // width 1
 }
 
 TEST(BcsrTrace, PerfectBlocksNoFill) {
   const auto m = gen::fem_blocks(50, 4, 0, 2);  // pure 4x4 diagonal blocks
-  auto h = fresh_hierarchy();
-  const auto r = run_bcsr_trace(m, whole(m), 4, h, nullptr);
+  const auto r = rank_counts(m, whole(m), StorageFormat::kBcsr4);
   EXPECT_DOUBLE_EQ(r.executed_elements, static_cast<double>(m.nnz()));
   EXPECT_DOUBLE_EQ(r.rows_iterated, 50.0);
 }
 
 TEST(BcsrTrace, FillInflatesExecutedElements) {
   const auto m = gen::circuit(1000, 1.5, 0.5, 3);  // sparse scattered rows
-  auto h = fresh_hierarchy();
-  const auto r = run_bcsr_trace(m, whole(m), 4, h, nullptr);
+  const auto r = rank_counts(m, whole(m), StorageFormat::kBcsr4);
   EXPECT_GT(r.executed_elements, 2.0 * static_cast<double>(m.nnz()));
 }
 
@@ -71,21 +67,26 @@ TEST(BcsrTrace, ValidatesBlockSize) {
 
 TEST(HybTrace, ExecutedBetweenNnzAndEll) {
   const auto m = gen::power_law(800, 8, 1.2, 4);
-  auto h1 = fresh_hierarchy();
-  const auto ell = run_ell_trace(m, whole(m), h1, nullptr);
-  auto h2 = fresh_hierarchy();
-  const auto hyb = run_hyb_trace(m, whole(m), 0.33, h2, nullptr);
+  const auto ell = rank_counts(m, whole(m), StorageFormat::kEll);
+  const auto hyb = rank_counts(m, whole(m), StorageFormat::kHyb);
   EXPECT_GE(hyb.executed_elements, static_cast<double>(m.nnz()) * 0.99);
   EXPECT_LE(hyb.executed_elements, ell.executed_elements + 1e-9);
 }
 
 TEST(HybTrace, ZeroSpillEqualsEll) {
   const auto m = gen::power_law(400, 6, 1.1, 5);
+  // Nothing may spill: the split is the whole ELL slab and the trace is ELL's.
+  const sparse::HybSplit split = sparse::hyb_split(m, 0, m.rows(), 0.0);
+  EXPECT_EQ(split.width, sparse::ell_width(m, 0, m.rows()));
+  EXPECT_EQ(split.tail, 0);
   auto h1 = fresh_hierarchy();
-  const auto ell = run_ell_trace(m, whole(m), h1, nullptr);
+  const TraceResult ell = run_ell_trace(m, whole(m), h1, nullptr).trace;
   auto h2 = fresh_hierarchy();
-  const auto hyb = run_hyb_trace(m, whole(m), 0.0, h2, nullptr);
-  EXPECT_DOUBLE_EQ(hyb.executed_elements, ell.executed_elements);
+  const TraceResult hyb = run_hyb_trace(m, whole(m), 0.0, h2, nullptr).trace;
+  EXPECT_EQ(hyb.l1.accesses(), ell.l1.accesses());
+  EXPECT_EQ(hyb.l1.read_misses, ell.l1.read_misses);
+  EXPECT_EQ(hyb.memory_accesses, ell.memory_accesses);
+  EXPECT_EQ(hyb.memory_write_bytes, ell.memory_write_bytes);
 }
 
 TEST(HybTrace, ValidatesSpill) {

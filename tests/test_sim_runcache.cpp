@@ -896,7 +896,7 @@ TEST(ReplayReuse, TableStaysWithinItsBoundAndEvictsLeastRecentlyUsed) {
   EXPECT_EQ(cache.replay_capacity(), bound);
   const auto key = [](std::uint64_t i) { return ReplayKey{.matrix = i + 1}; };
   const auto replay = [](std::uint64_t rows) {
-    return RankReplay{.trace = {}, .elements = 0.0, .rows = static_cast<double>(rows)};
+    return RankReplay{.trace = {}, .counts = {.rows_iterated = static_cast<double>(rows)}};
   };
   for (std::uint64_t i = 0; i < 50; ++i) {
     cache.insert_replay(key(i), replay(i));
@@ -907,13 +907,13 @@ TEST(ReplayReuse, TableStaysWithinItsBoundAndEvictsLeastRecentlyUsed) {
   const std::uint64_t oldest = 50 - bound;
   const auto oldest_kept = cache.lookup_replay(key(oldest));  // now the most recent
   ASSERT_TRUE(oldest_kept.has_value());
-  EXPECT_EQ(oldest_kept->rows, static_cast<double>(oldest));
+  EXPECT_EQ(oldest_kept->counts.rows_iterated, static_cast<double>(oldest));
 
   // A present key is replaced, not stored twice; a new key then evicts the
   // least recent one, which the lookup above made oldest + 1.
   cache.insert_replay(key(49), replay(7));
   EXPECT_EQ(cache.stats().replays.size, bound);
-  EXPECT_EQ(cache.lookup_replay(key(49))->rows, 7.0);
+  EXPECT_EQ(cache.lookup_replay(key(49))->counts.rows_iterated, 7.0);
   cache.insert_replay(key(50), replay(50));
   EXPECT_TRUE(cache.lookup_replay(key(oldest)).has_value());
   EXPECT_FALSE(cache.lookup_replay(key(oldest + 1)).has_value());

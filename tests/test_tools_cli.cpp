@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "obs/report.hpp"
 #include "sparse/io.hpp"
 #include "sparse/properties.hpp"
@@ -38,6 +39,47 @@ TEST(Cli, ErrorsMapToExitOne) {
   std::ostringstream out, err;
   EXPECT_EQ(run_cli(make({"analyze"}), out, err), 1);  // neither --matrix nor --id
   EXPECT_NE(err.str().find("error:"), std::string::npos);
+}
+
+// A flag no code path of the command reads fails the run and names the
+// flag, before the command writes any output or file.
+TEST(Cli, UnreadFlagsFailBeforeAnyOutputOrFile) {
+  setenv("SCC_TESTBED_SCALE", "0.05", 1);
+  const std::string json = temp_path("cli_unread.json");
+  const std::string mtx = temp_path("cli_unread.mtx");
+  std::filesystem::remove(json);
+  std::filesystem::remove(mtx);
+  const std::string json_arg = "--json=" + json;
+  const std::string out_arg = "--out=" + mtx;
+  const std::string matrix_arg = "--matrix=" + mtx;
+  const auto expect_rejected = [](std::vector<const char*> argv, const std::string& flag) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(make(argv), out, err), 1) << flag;
+    EXPECT_EQ(err.str(),
+              "error: unknown or unused flag " + flag + " for '" + argv.front() + "'\n");
+    EXPECT_TRUE(out.str().empty()) << flag;
+  };
+  // Misspelled: serve used to run its default 200 requests and exit 0.
+  expect_rejected({"serve", "--reqeusts=5", json_arg.c_str()}, "--reqeusts");
+  expect_rejected({"generate", "--family=random", "--n=50", "--rwo-nnz=3", out_arg.c_str()},
+                  "--rwo-nnz");
+  // Another command's flag, and a flag the other options leave unread.
+  expect_rejected({"simulate", "--id=3", "--requests=5"}, "--requests");
+  expect_rejected({"analyze", matrix_arg.c_str(), "--id=3"}, "--id");
+  EXPECT_FALSE(std::filesystem::exists(json));
+  EXPECT_FALSE(std::filesystem::exists(mtx));
+}
+
+TEST(Cli, SharedFlagsAreAcceptedByEveryCommand) {
+  setenv("SCC_TESTBED_SCALE", "0.05", 1);
+  // analyze reads neither --seed nor --sim-threads; the usage text promises
+  // every command takes them.
+  std::ostringstream out, err;
+  EXPECT_EQ(run_cli(make({"analyze", "--id=3", "--seed=9", "--sim-threads=1", "--json"}), out,
+                    err),
+            0)
+      << err.str();
+  common::set_sim_threads(0);
 }
 
 TEST(Cli, GenerateWritesReadableMatrix) {
@@ -330,6 +372,17 @@ TEST(CliServe, SizeFlagsRejectNegatives) {
     EXPECT_NE(err.str().find(std::string("error: --") + flag + " must be non-negative, got -1"),
               std::string::npos)
         << err.str();
+  }
+}
+
+TEST(CliServe, RetiredRunCacheFlagsAreRejected) {
+  setenv("SCC_TESTBED_SCALE", "0.05", 1);
+  for (const std::string flag : {"--run-cache-shards", "--run-cache-max-bytes"}) {
+    const std::string arg = flag + "=8";
+    std::ostringstream out, err;
+    EXPECT_EQ(run_cli(make({"serve", "--requests=5", arg.c_str()}), out, err), 1) << flag;
+    EXPECT_EQ(err.str(), "error: unknown or unused flag " + flag + " for 'serve'\n");
+    EXPECT_TRUE(out.str().empty()) << flag;
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,36 +40,36 @@ namespace scc::tools {
 
 namespace {
 
-sparse::CsrMatrix build_family(const CliArgs& args) {
+/// A matrix built or loaded after the flag check (a testbed load may write
+/// its cache file).
+using MatrixSource = std::function<sparse::CsrMatrix()>;
+
+/// --family F and every family's shape flags, read whichever family is chosen.
+MatrixSource family_from(const CliArgs& args) {
   const std::string family = args.get_or("family", "banded");
-  const auto n = args.get_int_or("n", 10000);
+  const int n = args.get_int_or("n", 10000);
   const std::uint64_t seed = seed_option(args, 1);
-  if (family == "banded") {
-    return gen::banded(n, args.get_int_or("half-bandwidth", 20),
-                       args.get_double_or("fill", 0.4), seed);
-  }
-  if (family == "stencil2d") {
-    const auto side = args.get_int_or("side", 100);
-    return gen::stencil_2d(side, side);
-  }
-  if (family == "stencil3d") {
-    const auto side = args.get_int_or("side", 22);
-    return gen::stencil_3d(side, side, side);
-  }
+  const int half_bandwidth = args.get_int_or("half-bandwidth", 20);
+  const double fill = args.get_double_or("fill", 0.4);
+  const int side = args.get_int_or("side", family == "stencil3d" ? 22 : 100);
+  const int blocks = args.get_int_or("blocks", 500);
+  const int block_size = args.get_int_or("block-size", 8);
+  const int couplings = args.get_int_or("couplings", 3);
+  const int row_nnz = args.get_int_or("row-nnz", 10);
+  const int avg_row_nnz = args.get_int_or("avg-row-nnz", 10);
+  const double alpha = args.get_double_or("alpha", 1.2);
+  const double extra_per_row = args.get_double_or("extra-per-row", 2.0);
+  const double long_range = args.get_double_or("long-range", 0.4);
+  if (family == "banded") return [=] { return gen::banded(n, half_bandwidth, fill, seed); };
+  if (family == "stencil2d") return [=] { return gen::stencil_2d(side, side); };
+  if (family == "stencil3d") return [=] { return gen::stencil_3d(side, side, side); };
   if (family == "fem") {
-    return gen::fem_blocks(args.get_int_or("blocks", 500), args.get_int_or("block-size", 8),
-                           args.get_int_or("couplings", 3), seed);
+    return [=] { return gen::fem_blocks(blocks, block_size, couplings, seed); };
   }
-  if (family == "random") {
-    return gen::random_uniform(n, args.get_int_or("row-nnz", 10), seed);
-  }
-  if (family == "power-law") {
-    return gen::power_law(n, args.get_int_or("avg-row-nnz", 10),
-                          args.get_double_or("alpha", 1.2), seed);
-  }
+  if (family == "random") return [=] { return gen::random_uniform(n, row_nnz, seed); };
+  if (family == "power-law") return [=] { return gen::power_law(n, avg_row_nnz, alpha, seed); };
   if (family == "circuit") {
-    return gen::circuit(n, args.get_double_or("extra-per-row", 2.0),
-                        args.get_double_or("long-range", 0.4), seed);
+    return [=] { return gen::circuit(n, extra_per_row, long_range, seed); };
   }
   SCC_REQUIRE(false, "unknown family '" << family
                                         << "' (banded|stencil2d|stencil3d|fem|random|"
@@ -75,16 +77,32 @@ sparse::CsrMatrix build_family(const CliArgs& args) {
   return {};
 }
 
-sparse::CsrMatrix load_input(const CliArgs& args) {
+/// --matrix FILE, or --id K for a Table-I stand-in.
+MatrixSource input_from(const CliArgs& args) {
   if (const auto path = args.get("matrix")) {
-    return sparse::read_matrix_market_file(*path);
+    return [path = *path] { return sparse::read_matrix_market_file(path); };
   }
   if (args.has("id")) {
-    return testbed::build_entry(args.get_int_or("id", 1), testbed::suite_scale_from_env())
-        .matrix;
+    const int id = args.get_int_or("id", 1);
+    return [id] { return testbed::build_entry(id, testbed::suite_scale_from_env()).matrix; };
   }
-  SCC_REQUIRE(false, "provide --matrix <file.mtx> or --id <1..32>");
-  return {};
+  return []() -> sparse::CsrMatrix {
+    SCC_REQUIRE(false, "provide --matrix <file.mtx> or --id <1..32>");
+    return {};
+  };
+}
+
+/// Every command's last flag read, before it loads, runs or writes anything:
+/// the output flags, then the rejection of every flag it did not read (a
+/// misspelled or retired flag would leave a default in place). --seed and
+/// --sim-threads, which every command takes, pass either way.
+OutputOptions finish_flags(const CliArgs& args) {
+  const OutputOptions output = parse_output_options(args);
+  for (const char* shared : {"seed", "sim-threads"}) args.get(shared);
+  const std::vector<std::string> unread = args.unread();
+  SCC_REQUIRE(unread.empty(), "unknown or unused flag --" << unread.front() << " for '"
+                                                           << args.positional().front() << "'");
+  return output;
 }
 
 chip::MappingPolicy mapping_from(const CliArgs& args) {
@@ -232,18 +250,19 @@ serve::ServeConfig serve_config_from(const CliArgs& args) {
   return config;
 }
 
-/// Run-cache flags shared by `serve` and `cluster`: --no-run-cache disables
-/// memoization outright; --run-cache-capacity bounds the cache;
-/// --run-cache-file persists it across processes.
-serve::MatrixPool matrix_pool_from(const CliArgs& args) {
-  const double scale = testbed::suite_scale_from_env();
-  if (args.get_bool_or("no-run-cache", false)) {
-    return serve::MatrixPool::without_run_cache(scale);
-  }
+/// Run-cache flags of `serve`, `cluster` and `autotune`: --no-run-cache
+/// (nullopt), --run-cache-capacity, --run-cache-file (persists the cache).
+std::optional<sim::RunCacheConfig> run_cache_from(const CliArgs& args) {
   sim::RunCacheConfig cache;
   cache.capacity = args.get_size_or("run-cache-capacity", cache.capacity);
   cache.persist_path = args.get_or("run-cache-file", "");
-  return serve::MatrixPool(scale, cache);
+  if (args.get_bool_or("no-run-cache", false)) return std::nullopt;
+  return cache;
+}
+
+serve::MatrixPool matrix_pool(const std::optional<sim::RunCacheConfig>& cache) {
+  const double scale = testbed::suite_scale_from_env();
+  return cache ? serve::MatrixPool(scale, *cache) : serve::MatrixPool::without_run_cache(scale);
 }
 
 /// Parse one `:`-separated fault spec against `shape`, one letter per
@@ -333,12 +352,11 @@ void parse_fault_plan(const CliArgs& args, cluster::FaultPlan& plan) {
   }
 }
 
-}  // namespace
-
 int cmd_generate(const CliArgs& args, std::ostream& out) {
-  const OutputOptions output = parse_output_options(args);
-  const auto matrix = build_family(args);
+  const MatrixSource build = family_from(args);
   const std::string path = args.get_or("out", "matrix.mtx");
+  const OutputOptions output = finish_flags(args);
+  const auto matrix = build();
   sparse::write_matrix_market_file(path, matrix);
   if (output.json()) {
     obs::Json report = obs::report_skeleton(obs::kKindAnalysis);
@@ -356,10 +374,11 @@ int cmd_generate(const CliArgs& args, std::ostream& out) {
 }
 
 int cmd_testbed(const CliArgs& args, std::ostream& out) {
-  const OutputOptions output = parse_output_options(args);
   const int id = args.get_int_or("id", 1);
+  const std::optional<std::string> out_path = args.get("out");
+  const OutputOptions output = finish_flags(args);
   const auto entry = testbed::build_entry(id, testbed::suite_scale_from_env());
-  const std::string path = args.get_or("out", entry.name + ".mtx");
+  const std::string path = out_path.value_or(entry.name + ".mtx");
   sparse::write_matrix_market_file(path, entry.matrix);
   if (output.json()) {
     obs::Json report = obs::report_skeleton(obs::kKindAnalysis);
@@ -379,7 +398,9 @@ int cmd_testbed(const CliArgs& args, std::ostream& out) {
 }
 
 int cmd_analyze(const CliArgs& args, std::ostream& out) {
-  const auto m = load_input(args);
+  const MatrixSource input = input_from(args);
+  const OutputOptions output = finish_flags(args);
+  const auto m = input();
   const auto stats = sparse::row_stats(m);
   Table t("matrix analysis");
   t.set_header({"property", "value"});
@@ -395,7 +416,6 @@ int cmd_analyze(const CliArgs& args, std::ostream& out) {
                  " MB"});
   t.add_row({"bandwidth", Table::integer(sparse::bandwidth(m))});
   t.add_row({"x line reuse", Table::num(sparse::x_line_reuse_fraction(m), 3)});
-  const OutputOptions output = parse_output_options(args);
   if (output.json()) {
     obs::Json report = obs::report_skeleton(obs::kKindAnalysis);
     report.set("command", "analyze");
@@ -410,11 +430,9 @@ int cmd_analyze(const CliArgs& args, std::ostream& out) {
 }
 
 int cmd_simulate(const CliArgs& args, std::ostream& out) {
-  const OutputOptions output = parse_output_options(args);
-  const auto m = load_input(args);
+  const MatrixSource input = input_from(args);
   sim::EngineConfig cfg;
   cfg.freq = conf_from(args);
-  const sim::Engine engine(cfg);
   const int cores = args.get_int_or("cores", 24);
   const auto policy = mapping_from(args);
   const auto format = format_from(args);
@@ -427,6 +445,9 @@ int cmd_simulate(const CliArgs& args, std::ostream& out) {
   spec.verify = verify_mode_from(args);
   spec.sdc = sdc_plan_from(args);
   spec.sdc_site = args.get_size_or("sdc-site", 0);
+  const OutputOptions output = finish_flags(args);
+  const auto m = input();
+  const sim::Engine engine(cfg);
   if (output.json() || !output.trace_path.empty()) spec.recorder = &recorder;
   const auto r = engine.run(m, spec);
   write_trace(output, recorder);
@@ -458,10 +479,12 @@ int cmd_simulate(const CliArgs& args, std::ostream& out) {
 }
 
 int cmd_convert(const CliArgs& args, std::ostream& out) {
-  const OutputOptions output = parse_output_options(args);
-  auto m = load_input(args);
-  index_t bandwidth_before = 0;
+  const MatrixSource input = input_from(args);
   const bool rcm = args.get_bool_or("rcm", false);
+  const std::string path = args.get_or("out", "converted.mtx");
+  const OutputOptions output = finish_flags(args);
+  auto m = input();
+  index_t bandwidth_before = 0;
   if (rcm) {
     const auto perm = sparse::reverse_cuthill_mckee(m);
     bandwidth_before = sparse::bandwidth(m);
@@ -470,7 +493,6 @@ int cmd_convert(const CliArgs& args, std::ostream& out) {
       out << "RCM: bandwidth " << bandwidth_before << " -> " << sparse::bandwidth(m) << '\n';
     }
   }
-  const std::string path = args.get_or("out", "converted.mtx");
   sparse::write_matrix_market_file(path, m);
   if (output.json()) {
     obs::Json report = obs::report_skeleton(obs::kKindAnalysis);
@@ -487,8 +509,8 @@ int cmd_convert(const CliArgs& args, std::ostream& out) {
 }
 
 int cmd_resilience(const CliArgs& args, std::ostream& out) {
-  const OutputOptions output = parse_output_options(args);
-  const auto m = (args.has("matrix") || args.has("id")) ? load_input(args) : build_family(args);
+  const MatrixSource input =
+      (args.has("matrix") || args.has("id")) ? input_from(args) : family_from(args);
   const int ues = args.get_int_or("ues", 8);
 
   fault::Plan plan;
@@ -532,12 +554,14 @@ int cmd_resilience(const CliArgs& args, std::ostream& out) {
     corrupt.element = static_cast<std::uint64_t>(element);
     plan.mem_corruptions.push_back(corrupt);
   }
+  rcce::RuntimeOptions options;
+  options.watchdog_timeout_seconds = args.get_double_or("timeout", 2.0);
+  const bool print_log = args.get_bool_or("log", false);
+  const OutputOptions output = finish_flags(args);
+  const auto m = input();
 
   obs::Recorder recorder;
   const bool observe = output.json() || !output.trace_path.empty();
-
-  rcce::RuntimeOptions options;
-  options.watchdog_timeout_seconds = args.get_double_or("timeout", 2.0);
   options.injector = std::make_shared<fault::Injector>(plan);
   if (observe) options.recorder = &recorder;
 
@@ -607,7 +631,7 @@ int cmd_resilience(const CliArgs& args, std::ostream& out) {
   t.add_row({"product", correct ? "recovered correctly" : "WRONG"});
   t.print(out);
 
-  if (args.get_bool_or("log", false)) {
+  if (print_log) {
     out << '\n';
     for (const auto& event : log) out << "  " << fault::describe(event) << '\n';
   }
@@ -632,14 +656,15 @@ int cmd_resilience(const CliArgs& args, std::ostream& out) {
 }
 
 int cmd_serve(const CliArgs& args, std::ostream& out) {
-  const OutputOptions output = parse_output_options(args);
 
   const serve::WorkloadSpec workload = workload_from(args);
   serve::ServeConfig config = serve_config_from(args);
   config.sdc = sdc_plan_from(args);
+  const auto run_cache = run_cache_from(args);
+  const OutputOptions output = finish_flags(args);
 
   const auto requests = serve::generate_workload(workload);
-  serve::MatrixPool pool = matrix_pool_from(args);
+  serve::MatrixPool pool = matrix_pool(run_cache);
   serve::Simulator simulator(config, pool);
   obs::Recorder recorder;
   const bool observe = !output.trace_path.empty();
@@ -682,7 +707,6 @@ int cmd_serve(const CliArgs& args, std::ostream& out) {
 }
 
 int cmd_cluster(const CliArgs& args, std::ostream& out) {
-  const OutputOptions output = parse_output_options(args);
 
   const serve::WorkloadSpec workload = workload_from(args);
   // The cluster's corruption model is the fault plan's, seeded per chip by
@@ -708,9 +732,12 @@ int cmd_cluster(const CliArgs& args, std::ostream& out) {
   SCC_REQUIRE(config.quarantine_threshold >= 0,
               "--quarantine-threshold must be >= 0 (0 disables quarantine)");
   parse_fault_plan(args, config.faults);
+  const auto run_cache = run_cache_from(args);
+  const bool print_log = args.get_bool_or("log", false);
+  const OutputOptions output = finish_flags(args);
 
   const auto requests = serve::generate_workload(workload);
-  serve::MatrixPool pool = matrix_pool_from(args);
+  serve::MatrixPool pool = matrix_pool(run_cache);
   cluster::ClusterSimulator simulator(config, pool);
   obs::Recorder recorder;
   const bool observe = !output.trace_path.empty();
@@ -766,7 +793,7 @@ int cmd_cluster(const CliArgs& args, std::ostream& out) {
                  Table::num(result.latency_total.p99 * 1e3, 2) + " ms"});
   t.print(out);
 
-  if (args.get_bool_or("log", false) && !result.log.empty()) {
+  if (print_log && !result.log.empty()) {
     out << '\n';
     for (const auto& event : result.log) out << "  " << cluster::describe(event) << '\n';
   }
@@ -774,30 +801,29 @@ int cmd_cluster(const CliArgs& args, std::ostream& out) {
 }
 
 int cmd_autotune(const CliArgs& args, std::ostream& out) {
-  const OutputOptions output = parse_output_options(args);
 
   // Matrices to tune: --matrix FILE, --id K, or --mix 26,27 (defaults to
   // the serving workload's default mix).
+  MatrixSource input;
   std::vector<int> ids;
-  if (!args.has("matrix")) {
-    if (args.has("id")) {
-      ids = {args.get_int_or("id", 1)};
-    } else if (const auto mix = args.get("mix")) {
-      ids = parse_int_list(*mix, "--mix");
-    } else {
-      ids = serve::WorkloadSpec{}.matrix_mix;
-    }
+  if (args.has("matrix")) {
+    input = input_from(args);
+  } else if (args.has("id")) {
+    ids = {args.get_int_or("id", 1)};
+  } else if (const auto mix = args.get("mix")) {
+    ids = parse_int_list(*mix, "--mix");
+  } else {
+    ids = serve::WorkloadSpec{}.matrix_mix;
   }
-
-  serve::MatrixPool pool = matrix_pool_from(args);
+  const auto run_cache = run_cache_from(args);
   const tune::AutotuneConfig tuning = tuning_config_from(args);
   sim::EngineConfig engine;
   engine.freq = conf_from(args);
-  tune::Autotuner tuner(engine, tuning, pool.tuning_cache(tuning.cache), pool.run_cache());
+  const OutputOptions output = finish_flags(args);
 
-  if (args.has("matrix")) {
-    tuner.decide(load_input(args));
-  }
+  serve::MatrixPool pool = matrix_pool(run_cache);
+  tune::Autotuner tuner(engine, tuning, pool.tuning_cache(tuning.cache), pool.run_cache());
+  if (input) tuner.decide(input());
   for (const int id : ids) {
     tuner.decide(pool.entry(id).matrix, id);
   }
@@ -807,21 +833,17 @@ int cmd_autotune(const CliArgs& args, std::ostream& out) {
     obs::Json report = obs::report_skeleton(obs::kKindAutotune);
     obs::Json config_json = obs::Json::object();
     obs::Json formats = obs::Json::array();
-    for (const sim::StorageFormat format : tuning.formats) {
-      formats.push_back(sim::to_string(format));
-    }
+    for (const auto format : tune::kGrid.formats) formats.push_back(sim::to_string(format));
     config_json.set("formats", std::move(formats));
-    config_json.set("try_reorder", tuning.try_reorder);
+    config_json.set("try_reorder", true);  // RCM candidates on every square matrix
     obs::Json core_counts = obs::Json::array();
-    for (const int cores : tuning.core_counts) core_counts.push_back(cores);
+    for (const int cores : tune::kGrid.core_counts) core_counts.push_back(cores);
     config_json.set("core_counts", std::move(core_counts));
     obs::Json mappings = obs::Json::array();
-    for (const chip::MappingPolicy mapping : tuning.mappings) {
-      mappings.push_back(chip::to_string(mapping));
-    }
+    mappings.push_back(chip::to_string(tune::kGrid.mapping));
     config_json.set("mappings", std::move(mappings));
     config_json.set("feature_fastpath", tuning.feature_fastpath);
-    config_json.set("core_time_weight", tuning.core_time_weight);
+    config_json.set("core_time_weight", tune::kGrid.core_time_weight);
     report.set("config", std::move(config_json));
 
     // Reuse the serving report's decision rendering for the shared shape.
@@ -871,7 +893,7 @@ int cmd_autotune(const CliArgs& args, std::ostream& out) {
 }
 
 int cmd_report(const CliArgs& args, std::ostream& out) {
-  const OutputOptions output = parse_output_options(args);
+  const OutputOptions output = finish_flags(args);
   const auto& positional = args.positional();  // positional[0] == "report"
   SCC_REQUIRE(positional.size() >= 2, "report needs at least one JSON file");
 
@@ -966,6 +988,8 @@ int cmd_report(const CliArgs& args, std::ostream& out) {
   return 0;
 }
 
+}  // namespace
+
 int run_cli(const CliArgs& args, std::ostream& out, std::ostream& err) {
   static constexpr const char* kUsage =
       "usage: scc-spmv <command> [options]\n"
@@ -1015,7 +1039,8 @@ int run_cli(const CliArgs& args, std::ostream& out, std::ostream& err) {
       "serve and cluster accept --autotune on|off (tuned dispatch), and\n"
       "autotune/serve/cluster accept --tuning-cache-file FILE /\n"
       "--tuning-cache-capacity N (persist and bound the pinned winners) and\n"
-      "--fastpath on|off (feature-based class fast path)\n";
+      "--fastpath on|off (feature-based class fast path); a flag the command\n"
+      "does not read, with the options given, is an error\n";
   try {
     if (args.positional().empty()) {
       err << kUsage;

@@ -1,6 +1,6 @@
 // Implementation of the `scc-spmv` command-line tool, split from main() so
-// every command is unit-testable in-process. Each command takes parsed
-// arguments plus the output stream and returns a process exit code.
+// every command is testable in-process through run_cli, which dispatches on
+// the command and returns the process exit code.
 //
 // Commands:
 //   generate  -- write a synthetic matrix (any generator family) as .mtx
@@ -15,7 +15,8 @@
 //   report    -- aggregate schema-v1 JSON reports into a comparison table
 //
 // Every command honours the shared output flags (`--json[=FILE]`,
-// `--trace=FILE`) parsed by scc::parse_output_options.
+// `--trace=FILE`) parsed by scc::parse_output_options, and rejects any flag
+// it does not read before it loads, runs or writes anything.
 #pragma once
 
 #include <iosfwd>
@@ -23,17 +24,6 @@
 #include "common/cli.hpp"
 
 namespace scc::tools {
-
-int cmd_generate(const CliArgs& args, std::ostream& out);
-int cmd_testbed(const CliArgs& args, std::ostream& out);
-int cmd_analyze(const CliArgs& args, std::ostream& out);
-int cmd_simulate(const CliArgs& args, std::ostream& out);
-int cmd_convert(const CliArgs& args, std::ostream& out);
-int cmd_resilience(const CliArgs& args, std::ostream& out);
-int cmd_serve(const CliArgs& args, std::ostream& out);
-int cmd_cluster(const CliArgs& args, std::ostream& out);
-int cmd_autotune(const CliArgs& args, std::ostream& out);
-int cmd_report(const CliArgs& args, std::ostream& out);
 
 /// Dispatch on args.positional()[0]; prints usage and returns 2 on unknown
 /// or missing command.
